@@ -23,7 +23,7 @@ import numpy as np
 
 from denoisebench.imagecore import load_pgm, save_pgm
 from denoisebench.metrics import evaluate
-from denoisebench.noise import NoiseModel, add_awgn, splitmix64_stream
+from denoisebench.noise import NoiseModel, add_awgn
 from denoisebench.pipelines import MethodConfig, denoise
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 CSV_HEADER = "image_id,sigma,method,levels,trial,seed,mse,rmse,mae,psnr_db,uqi,runtime_ms"
 
 DEFAULT_SIGMAS = (10.0, 20.0, 30.0, 40.0, 50.0)
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,13 @@ class BenchRow:
 def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, trial: int) -> int:
     """Fold the cell key string into a 64-bit trial seed (see module docs)."""
     key = f"{image_id}|{sigma:g}|{method}|{trial}".encode("utf-8")
-    h = master_seed & 0xFFFFFFFFFFFFFFFF
+    h = master_seed & _MASK64
     for b in key:
-        h = int(splitmix64_stream(h ^ b, 1)[0])
+        # first output of noise.splitmix64_stream(h ^ b, 1), in Python ints
+        z = ((h ^ b) + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h = z ^ (z >> 31)
     return h
 
 

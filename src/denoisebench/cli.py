@@ -1,6 +1,7 @@
 """`bench` command line: benchmark sweeps, synthetic images, one-shot denoising."""
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -93,6 +94,10 @@ def _cmd_run(args) -> int:
     stem = Path(out).with_suffix("")
     write_summary(rows, f"{stem}_summary.csv", f"{stem}_plot.dat")
     print(f"bench: {len(rows)} rows -> {out}, {stem}_summary.csv, {stem}_plot.dat")
+    failed = sum(math.isnan(r.psnr_db) for r in rows)
+    if failed:
+        print(f"bench: {failed} of {len(rows)} cells failed", file=sys.stderr)
+        return 1
     return 0
 
 

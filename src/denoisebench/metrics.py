@@ -58,7 +58,9 @@ def uqi(reference, test) -> float:
     Product of correlation, luminance-distortion and contrast-distortion
     factors; variances and covariance use the (MN - 1) denominator.
     Degenerate cases: two identical constant images score 1; a single zero
-    variance or a zero mean-square denominator scores 0.
+    variance or a zero mean-square denominator scores 0.  Images with both
+    means below 2^-100, whose fourth-order terms would underflow, are first
+    scaled by a power of two, which is exact and leaves the index unchanged.
     """
     ref, tst = _check_pair(reference, test)
     if ref.size < 2:
@@ -66,6 +68,11 @@ def uqi(reference, test) -> float:
     f = ref.ravel()
     g = tst.ravel()
     mf, mg = float(np.mean(f)), float(np.mean(g))
+    if max(abs(mf), abs(mg)) < 2.0**-100:
+        # fourth powers of such values underflow; bring the peak into [0.5, 1)
+        shift = -math.frexp(max(float(np.max(np.abs(f))), float(np.max(np.abs(g)))))[1]
+        f, g = np.ldexp(f, shift), np.ldexp(g, shift)
+        mf, mg = float(np.mean(f)), float(np.mean(g))
     n1 = f.size - 1
     var_f = float(np.sum((f - mf) ** 2)) / n1
     var_g = float(np.sum((g - mg) ** 2)) / n1

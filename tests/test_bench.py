@@ -45,12 +45,20 @@ def test_csv_header_exact():
 
 
 def test_derive_seed_oracle():
-    # independent re-derivation of the byte-folding chain
-    key = "tex64|10|visu|1".encode()
-    h = 99
-    for b in key:
-        h = int(splitmix64_stream(h ^ b, 1)[0])
-    assert derive_seed(99, "tex64", 10.0, "visu", 1) == h
+    # independent re-derivation of the byte-folding chain, on random keys
+    # that include the largest master seed and non-ASCII image ids
+    rng = np.random.default_rng(5)
+    masters = [99, 0, 2**64 - 1] + [int(m) for m in rng.integers(0, 2**63, 6)]
+    for master in masters:
+        for image_id in ("tex64", "", "Ünïcödé", "画像-θ", "a|b"):
+            sigma = float(rng.uniform(0.5, 80.0))
+            trial = int(rng.integers(1, 100))
+            key = f"{image_id}|{sigma:g}|mrbf|{trial}".encode()
+            h = master
+            for b in key:
+                h = int(splitmix64_stream(h ^ b, 1)[0])
+            assert derive_seed(master, image_id, sigma, "mrbf", trial) == h
+    h = derive_seed(99, "tex64", 10.0, "visu", 1)
     assert derive_seed(99, "tex64", 10.0, "visu", 2) != h
     assert derive_seed(98, "tex64", 10.0, "visu", 1) != h
 
@@ -149,6 +157,22 @@ def test_cli_run_and_synth(tmp_path, capsys):
     assert {line.split(",")[2] for line in lines[1:]} == {"visu", "collaborative"}
     assert (tmp_path / "run_summary.csv").exists()
     assert (tmp_path / "run_plot.dat").exists()
+
+
+def test_cli_run_reports_failed_cells(tmp_path, capsys):
+    # a 4x4 image is too small for the default 11x11 bilateral window
+    img = tmp_path / "tiny.pgm"
+    save_pgm(texture_image(64)[:4, :4], img)
+    out_csv = tmp_path / "tiny.csv"
+    rc = cli_main([
+        "run", "--images", str(img), "--sigmas", "10,20", "--methods", "visu,bilateral",
+        "--trials", "1", "--levels", "2", "--out", str(out_csv), "--no-runtime",
+    ])
+    assert rc == 1
+    assert "bench: 2 of 4 cells failed" in capsys.readouterr().err
+    assert len(out_csv.read_text().splitlines()) == 5
+    assert (tmp_path / "tiny_summary.csv").exists()
+    assert (tmp_path / "tiny_plot.dat").exists()
 
 
 def test_cli_config_file_with_overrides(tmp_path):

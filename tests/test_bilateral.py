@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from denoisebench import bilateral
 from denoisebench.bilateral import BilateralParams, bilateral_filter
 
 
@@ -44,6 +45,26 @@ def _bilateral_oracle(img, params):
                     den += weight
             out[i, j] = num / den
     return out
+
+
+def _shifted_sum_oracle(img, params):
+    """The untiled filter: one whole-image shifted copy per window offset."""
+    half = params.window // 2
+    padded = np.pad(img, half, mode="reflect")
+    h, w = img.shape
+    inv_2sd2 = 1.0 / (2.0 * params.sigma_d**2)
+    inv_2sr2 = 1.0 / (2.0 * params.sigma_r**2)
+    num = np.zeros_like(img)
+    den = np.zeros_like(img)
+    for dy in range(-half, half + 1):
+        for dx in range(-half, half + 1):
+            shifted = padded[half + dy : half + dy + h, half + dx : half + dx + w]
+            weight = np.exp(
+                -(dy * dy + dx * dx) * inv_2sd2 - (shifted - img) ** 2 * inv_2sr2
+            )
+            num += weight * shifted
+            den += weight
+    return num / den
 
 
 def test_params_validation():
@@ -109,3 +130,45 @@ def test_shift_equivariance(img, offset):
     base = bilateral_filter(img, params)
     shifted = bilateral_filter(img + offset, params)
     np.testing.assert_allclose(shifted, base + offset, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "shape, params",
+    [
+        # several strips, height not a multiple of the strip height
+        ((70, 1024), BilateralParams()),
+        ((37, 1200), BilateralParams(sigma_d=2.5, sigma_r=30.0, window=7)),
+        # the range floor the collaborative pass hits
+        ((37, 1200), BilateralParams(sigma_r=1e-6)),
+        # largest allowed window, 2 * min(h, w) - 1
+        ((9, 13), BilateralParams(window=17)),
+        ((5, 300), BilateralParams(window=9)),
+        # window 1 is the identity
+        ((6, 5), BilateralParams(window=1)),
+        ((1, 3), BilateralParams(window=1)),
+    ],
+)
+def test_bit_identical_to_untiled_sum(shape, params):
+    rng = np.random.default_rng(sum(shape))
+    img = rng.uniform(0.0, 255.0, shape)
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
+def test_strip_height_covers_multi_strip_cases():
+    # the cases above span several strips only while strips are this small
+    assert max(1, bilateral._STRIP_PIXELS // 1024) < 70
+    assert max(1, bilateral._STRIP_PIXELS // 1200) < 37
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(1, 100),
+    st.integers(256, 1200),
+    st.sampled_from([1, 3, 5, 11]),
+    st.floats(1e-6, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_bit_identical_to_untiled_sum_random_shapes(h, w, window, sigma_r, seed):
+    params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * h - 1))
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))

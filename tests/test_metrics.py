@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -114,14 +114,30 @@ def test_evaluate_clamps_test_image():
     assert PEAK == 255.0
 
 
+def _near_zero_image(value):
+    img = np.zeros((4, 4))
+    img[0, 0] = value
+    return img
+
+
 @settings(max_examples=200)
 @given(
     arrays(np.float64, (4, 4), elements=st.floats(0, 255)),
     arrays(np.float64, (4, 4), elements=st.floats(0, 255)),
 )
+# near-zero images whose UQI denominator underflows
+@example(f=_near_zero_image(7e-88), g=_near_zero_image(7e-88))
+@example(f=_near_zero_image(5e-324), g=_near_zero_image(1e-300))
 def test_uqi_bounds(f, g):
     q = uqi(f, g)
     assert -1.0 - 1e-9 <= q <= 1.0 + 1e-9
+
+
+def test_uqi_scale_invariant_near_zero():
+    rng = np.random.default_rng(8)
+    f, g = rng.uniform(1.0, 255.0, (2, 8, 8))
+    # a power-of-two scale is exact, so the index must not move at all
+    assert uqi(f * 2.0**-1000, g * 2.0**-1000) == uqi(f, g)
 
 
 @given(arrays(np.float64, (4, 4), elements=st.floats(1, 255)))
