@@ -14,14 +14,12 @@ Run: python3 scripts/compare_mrbf_schedules.py [--size 256] [--seeds 3]
 """
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
-from denoisebench.bilateral import bilateral_filter
 from denoisebench.metrics import psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
-from denoisebench.pipelines import MethodConfig, denoise
+from denoisebench.pipelines import MethodConfig, bilateral_pass, denoise
 from denoisebench.shrinkage import ThresholdRule, apply_threshold, band_stats, bayes_threshold
 from denoisebench.synth import texture_image
 from denoisebench.wavelet import SubBands, dwt2_haar, idwt2_haar
@@ -29,12 +27,7 @@ from denoisebench.wavelet import SubBands, dwt2_haar, idwt2_haar
 
 def mrbf_way_up(image, config: MethodConfig) -> np.ndarray:
     """Way-up variant: filter each reconstructed approximation after merging."""
-
-    def bilateral_pass(grid, sigma):
-        params = replace(config.bilateral_params, sigma_r=max(2.0 * sigma, 1e-6))
-        if params.window > 2 * min(grid.shape) - 1:
-            params = replace(params, window=max(2 * min(grid.shape) - 1, 1) | 1)
-        return bilateral_filter(grid, params)
+    params = config.bilateral_params
 
     def recurse(grid, level):
         bands = dwt2_haar(grid)
@@ -47,11 +40,11 @@ def mrbf_way_up(image, config: MethodConfig) -> np.ndarray:
             for name in ("lh", "hl", "hh")
         }
         if level == config.levels:
-            ll = bilateral_pass(bands.ll, sigma)
+            ll = bilateral_pass(bands.ll, sigma, params)
         else:
-            ll = bilateral_pass(recurse(bands.ll, level + 1), sigma)
+            ll = bilateral_pass(recurse(bands.ll, level + 1), sigma, params)
         merged = idwt2_haar(SubBands(ll, shrunk["lh"], shrunk["hl"], shrunk["hh"]))
-        return bilateral_pass(merged, sigma) if level == 1 else merged
+        return bilateral_pass(merged, sigma, params) if level == 1 else merged
 
     return recurse(np.asarray(image, dtype=np.float64), 1)
 

@@ -66,6 +66,19 @@ class BenchConfig:
             raise ValueError("trials must be >= 1")
         if self.metrics_mode not in ("clamped", "unclamped"):
             raise ValueError(f"unknown metrics_mode {self.metrics_mode!r}")
+        # inputs that share a cell key would share seeds and CSV labels
+        _reject_shared_keys("image paths", self.image_paths, lambda p: Path(p).stem)
+        _reject_shared_keys("sigmas", self.sigmas, lambda s: f"{s:g}")
+        _reject_shared_keys("methods", [m.method for m in self.methods], str)
+
+
+def _reject_shared_keys(what: str, items, key) -> None:
+    seen = {}
+    for item in items:
+        k = key(item)
+        if k in seen:
+            raise ValueError(f"{what} {seen[k]!r} and {item!r} share the cell key part {k!r}")
+        seen[k] = item
 
 
 @dataclass(frozen=True)

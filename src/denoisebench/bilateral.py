@@ -4,14 +4,23 @@ Each output pixel is the normalized weighted sum of its window neighborhood,
 with Gaussian weights on squared Euclidean pixel distance (sigma_d) and on
 intensity difference (sigma_r).  Borders use reflect-101 mirroring.
 
-The sum over window offsets runs one strip of whole rows at a time, about
-32 Ki pixels per strip, so that a strip's working set stays in L2 cache on
-large images.  Each strip has its own ``num`` and ``den`` accumulators and
-one scratch buffer that every offset's weight is computed into with ``out=``
-ufuncs.  Every pixel sees the same operations in the same order as a sum
-over whole shifted images, so the output is bit-identical to that untiled
-sum.  Extra memory is one padded copy of the image plus three strip-sized
-arrays, instead of about six full-image temporaries.
+The sum over window offsets runs on flat lanes of the padded image, one
+strip of whole rows at a time, about 32 Ki lanes per strip, so that a
+strip's working set stays in L2 cache on large images.  With padded width
+``pw = w + 2 * half``, output rows ``r0:r1`` are the ``(r1 - r0 - 1) * pw + w``
+lanes of ``padded.ravel()`` that start at ``(r0 + half) * pw + half``, and
+window offset ``(dy, dx)`` is the same run of lanes ``dy * pw + dx`` later.
+Every operand is thus a contiguous 1-D slice, which numpy's ufuncs stream
+several times faster than a strided 2-D view.  The ``2 * half`` lanes
+between two output rows are computed and then dropped when the strip is
+divided into ``out``: about 1% extra work at width 1024 and 4% at 256.
+
+Each offset updates ``num`` and ``den`` through one scratch buffer with
+``out=`` ufuncs.  Every output pixel sees the same operations in the same
+order as a sum over whole shifted images, so the output is bit-identical to
+that untiled sum.  Extra memory is one padded copy of the image plus three
+buffers of one strip's lanes (``num``, ``den``, ``buf``), allocated once per
+call, instead of about six full-image temporaries.
 """
 
 from dataclasses import dataclass
@@ -20,7 +29,7 @@ import numpy as np
 
 __all__ = ["BilateralParams", "bilateral_filter"]
 
-# target pixels per row strip; a strip is at least one row
+# target lanes per row strip; a strip is at least one row
 _STRIP_PIXELS = 1 << 15
 
 
@@ -50,25 +59,37 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
     inv_2sd2 = 1.0 / (2.0 * params.sigma_d**2)
     inv_2sr2 = 1.0 / (2.0 * params.sigma_r**2)
     out = np.empty_like(img)
-    rows = max(1, _STRIP_PIXELS // w)
+    pw = w + 2 * half
+    flat = padded.ravel()
+    rows = max(1, _STRIP_PIXELS // pw)
+    num, den, buf = (np.empty(min(rows, h) * pw) for _ in range(3))
     for r0 in range(0, h, rows):
         r1 = min(r0 + rows, h)
-        center = img[r0:r1]
-        num = np.zeros_like(center)
-        den = np.zeros_like(center)
-        buf = np.empty_like(center)
-        # accumulate one shifted copy of the strip per window offset
+        m = r1 - r0
+        n = (m - 1) * pw + w
+        start = (r0 + half) * pw + half
+        center = flat[start : start + n]
+        acc_num, acc_den, tmp = num[:n], den[:n], buf[:n]
+        acc_num.fill(0.0)
+        acc_den.fill(0.0)
+        # accumulate one shifted run of lanes per window offset
         for dy in range(-half, half + 1):
             for dx in range(-half, half + 1):
-                shifted = padded[r0 + half + dy : r1 + half + dy, half + dx : half + dx + w]
+                shift = start + dy * pw + dx
+                shifted = flat[shift : shift + n]
                 # weight = exp(-d^2 / (2 sigma_d^2) - (shifted - center)^2 / (2 sigma_r^2))
-                np.subtract(shifted, center, out=buf)
-                np.square(buf, out=buf)
-                np.multiply(buf, inv_2sr2, out=buf)
-                np.subtract(-(dy * dy + dx * dx) * inv_2sd2, buf, out=buf)
-                np.exp(buf, out=buf)
-                den += buf
-                buf *= shifted
-                num += buf
-        np.divide(num, den, out=out[r0:r1])
+                np.subtract(shifted, center, out=tmp)
+                np.square(tmp, out=tmp)
+                np.multiply(tmp, inv_2sr2, out=tmp)
+                np.subtract(-(dy * dy + dx * dx) * inv_2sd2, tmp, out=tmp)
+                np.exp(tmp, out=tmp)
+                acc_den += tmp
+                tmp *= shifted
+                acc_num += tmp
+        # drop the border lanes between rows
+        np.divide(
+            num[: m * pw].reshape(m, pw)[:, :w],
+            den[: m * pw].reshape(m, pw)[:, :w],
+            out=out[r0:r1],
+        )
     return out

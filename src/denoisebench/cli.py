@@ -77,18 +77,21 @@ def _cmd_run(args) -> int:
     metrics_mode = setting(args.metrics, "metrics", "clamped")
     workers = int(setting(args.workers, "workers", 1))
 
-    config = BenchConfig(
-        image_paths=tuple(_collect_images(images)),
-        sigmas=tuple(float(s) for s in str(sigmas).split(",")),
-        methods=tuple(MethodConfig(method=m, levels=levels) for m in method_names),
-        trials=trials,
-        master_seed=seed,
-        output_path=out,
-        save_images_dir=save_images,
-        metrics_mode=metrics_mode,
-        workers=workers,
-        record_runtime=not args.no_runtime,
-    )
+    try:
+        config = BenchConfig(
+            image_paths=tuple(_collect_images(images)),
+            sigmas=tuple(float(s) for s in str(sigmas).split(",")),
+            methods=tuple(MethodConfig(method=m, levels=levels) for m in method_names),
+            trials=trials,
+            master_seed=seed,
+            output_path=out,
+            save_images_dir=save_images,
+            metrics_mode=metrics_mode,
+            workers=workers,
+            record_runtime=not args.no_runtime,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"bench run: {exc}") from None
     rows = run_benchmark(config)
     write_csv(rows, out)
     stem = Path(out).with_suffix("")

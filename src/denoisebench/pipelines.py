@@ -23,7 +23,7 @@ from denoisebench.shrinkage import (
 )
 from denoisebench.wavelet import Pyramid, SubBands, decompose, dwt2_haar, idwt2_haar, reconstruct
 
-__all__ = ["MethodConfig", "METHODS", "denoise", "collaborative", "mrbf"]
+__all__ = ["MethodConfig", "METHODS", "denoise", "bilateral_pass", "collaborative", "mrbf"]
 
 METHODS = ("visu", "sure", "bayes", "neigh", "bilateral", "collaborative", "mrbf")
 
@@ -128,6 +128,14 @@ def _range_params(img, config: MethodConfig, oracle_sigma) -> BilateralParams:
     return replace(config.bilateral_params, sigma_r=max(2.0 * sigma, 1e-6))
 
 
+def bilateral_pass(grid, sigma: float, params: BilateralParams) -> np.ndarray:
+    """One MRBF bilateral pass: sigma_r = 2 * sigma, window shrunk to fit `grid`."""
+    params = replace(params, sigma_r=max(2.0 * sigma, 1e-6))
+    if params.window > 2 * min(grid.shape) - 1:
+        params = replace(params, window=max(2 * min(grid.shape) - 1, 1) | 1)
+    return bilateral_filter(grid, params)
+
+
 def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
     """BayesShrink wavelet denoising followed by a bilateral pass.
 
@@ -164,12 +172,6 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
     if h % (1 << config.levels) or w % (1 << config.levels):
         raise ValueError(f"dimensions {h}x{w} not divisible by 2^{config.levels}")
 
-    def bilateral_pass(grid, sigma):
-        params = replace(config.bilateral_params, sigma_r=max(2.0 * sigma, 1e-6))
-        if params.window > 2 * min(grid.shape) - 1:
-            params = replace(params, window=max(2 * min(grid.shape) - 1, 1) | 1)
-        return bilateral_filter(grid, params)
-
     def recurse(grid, level):
         if config.mrbf_every_level or level == 1:
             if level == 1 and config.sigma_mode == "oracle":
@@ -178,7 +180,7 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
                 pre_sigma = float(oracle_sigma)
             else:
                 pre_sigma = estimate_noise_mad(dwt2_haar(grid).hh)
-            grid = bilateral_pass(grid, pre_sigma)
+            grid = bilateral_pass(grid, pre_sigma, config.bilateral_params)
         bands = dwt2_haar(grid)
         sigma = estimate_noise_mad(bands.hh)
         shrunk = {}
@@ -188,7 +190,7 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
             t = bayes_threshold(band_stats(band, sigma), config.bayes_squared_denominator)
             shrunk[name] = apply_threshold(band, ThresholdRule("soft", t))
         if level == config.levels:
-            ll = bilateral_pass(bands.ll, sigma)
+            ll = bilateral_pass(bands.ll, sigma, config.bilateral_params)
         else:
             ll = recurse(bands.ll, level + 1)
         return idwt2_haar(SubBands(ll, shrunk["lh"], shrunk["hl"], shrunk["hh"]))

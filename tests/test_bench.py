@@ -72,6 +72,29 @@ def test_config_validation(tmp_path):
         _tiny_config(tmp_path, metrics_mode="raw")
 
 
+def test_config_rejects_image_paths_with_one_id(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    paths = (str(tmp_path / "a" / "x.pgm"), str(tmp_path / "b" / "x.pgm"))
+    with pytest.raises(ValueError, match=r"b/x\.pgm"):
+        _tiny_config(tmp_path, image_paths=paths)
+
+
+def test_config_rejects_sigmas_with_one_label(tmp_path):
+    with pytest.raises(ValueError, match="10.0000001"):
+        _tiny_config(tmp_path, sigmas=(10.0, 10.0000001))
+
+
+def test_cli_rejects_method_listed_twice(tmp_path):
+    img = tmp_path / "in.pgm"
+    save_pgm(texture_image(64), img)
+    out = tmp_path / "dup.csv"
+    with pytest.raises(SystemExit, match="collaborative"):
+        cli_main(["run", "--images", str(img), "--sigmas", "10", "--methods",
+                  "collab,collaborative", "--levels", "2", "--trials", "1", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_row_cardinality_and_order(tmp_path):
     rows = run_benchmark(_tiny_config(tmp_path))
     assert len(rows) == 1 * 2 * 2 * 2  # images x sigmas x methods x trials

@@ -146,6 +146,10 @@ def test_shift_equivariance(img, offset):
         # window 1 is the identity
         ((6, 5), BilateralParams(window=1)),
         ((1, 3), BilateralParams(window=1)),
+        # narrow images: the dropped lanes between rows are most of a row
+        ((50, 2), BilateralParams(window=3)),
+        ((40, 7), BilateralParams(window=13)),
+        ((3000, 13), BilateralParams(window=5)),
     ],
 )
 def test_bit_identical_to_untiled_sum(shape, params):
@@ -154,10 +158,21 @@ def test_bit_identical_to_untiled_sum(shape, params):
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
 
 
+@pytest.mark.parametrize("shape, window", [((40, 7), 13), ((37, 1200), 11), ((3000, 13), 3)])
+def test_bit_identical_on_integer_image(shape, window):
+    # few grey levels: neighbours are often exactly equal, so at the range
+    # floor every weight is exactly its spatial term or exactly 0
+    img = np.random.default_rng(sum(shape)).integers(0, 4, shape).astype(np.float64)
+    params = BilateralParams(sigma_r=1e-6, window=window)
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
 def test_strip_height_covers_multi_strip_cases():
     # the cases above span several strips only while strips are this small
-    assert max(1, bilateral._STRIP_PIXELS // 1024) < 70
-    assert max(1, bilateral._STRIP_PIXELS // 1200) < 37
+    for (h, w), window in [((70, 1024), 11), ((37, 1200), 7), ((37, 1200), 11), ((3000, 13), 5),
+                          ((3000, 13), 3)]:
+        padded_width = w + 2 * (window // 2)
+        assert max(1, bilateral._STRIP_PIXELS // padded_width) < h
 
 
 @settings(max_examples=15, deadline=None)
@@ -170,5 +185,19 @@ def test_strip_height_covers_multi_strip_cases():
 )
 def test_bit_identical_to_untiled_sum_random_shapes(h, w, window, sigma_r, seed):
     params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * h - 1))
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 100),
+    st.integers(1, 40),
+    st.sampled_from([1, 3, 5, 11, 13]),
+    st.floats(1e-6, 100.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_bit_identical_to_untiled_sum_narrow_widths(h, w, window, sigma_r, seed):
+    params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * min(h, w) - 1))
     img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
