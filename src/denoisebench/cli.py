@@ -14,7 +14,7 @@ from denoisebench.bench import (
 )
 from denoisebench.imagecore import load_pgm, save_pgm
 from denoisebench.pipelines import METHODS, MethodConfig, denoise
-from denoisebench.synth import checkerboard_image, gradient_image, texture_image
+from denoisebench.synth import default_set, texture_image
 
 _METHOD_ALIASES = {"collab": "collaborative"}
 
@@ -107,12 +107,7 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = {
-        "gradient128": gradient_image(128),
-        "checker128": checkerboard_image(128),
-        "texture256": texture_image(256),
-        "texture512": texture_image(512),
-    }
+    images = {**default_set(), "texture512": texture_image(512)}
     for name, image in images.items():
         save_pgm(image, out_dir / f"{name}.pgm")
     print(f"bench: wrote {len(images)} synthetic images to {out_dir}")

@@ -56,7 +56,11 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
 
 
 def load_pgm(path) -> np.ndarray:
-    """Load a binary (P5) or ASCII (P2) PGM file, maxval <= 255."""
+    """Load a binary (P5) or ASCII (P2) PGM file, maxval <= 255.
+
+    Samples are rescaled from [0, maxval] to [0, 255], the range the metrics
+    score against; at maxval 255 they load unchanged.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
@@ -83,6 +87,8 @@ def load_pgm(path) -> np.ndarray:
         pixels = np.array([int(v) for v in values[:count]], dtype=np.float64)
     if pixels.min() < 0 or pixels.max() > maxval:
         raise PgmError("PGM sample outside [0, maxval]")
+    if maxval < 255:
+        pixels = pixels * 255.0 / maxval
     return pixels.reshape(height, width)
 
 

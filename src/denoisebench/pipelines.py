@@ -27,9 +27,6 @@ __all__ = ["MethodConfig", "METHODS", "denoise", "bilateral_pass", "collaborativ
 
 METHODS = ("visu", "sure", "bayes", "neigh", "bilateral", "collaborative", "mrbf")
 
-# stated pairing: Visu hard, Bayes/Sure soft; Neigh uses its own factor
-_DEFAULT_RULES = {"visu": "hard", "sure": "soft", "bayes": "soft"}
-
 
 @dataclass(frozen=True)
 class MethodConfig:
@@ -40,10 +37,7 @@ class MethodConfig:
     bilateral_params: BilateralParams = field(default_factory=BilateralParams)
     neigh_window: int = 3
     sigma_mode: str = "estimated"  # "estimated" | "oracle"
-    detail_rule: str | None = None  # override of the per-method hard/soft pairing
-    bayes_squared_denominator: bool = False  # sigma_n^2/sigma_s^2 variant
     mrbf_every_level: bool = True  # bilateral every approximation vs full-res only
-    collab_reuse_sigma: bool = False  # reuse pre-denoise sigma for sigma_r
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -54,46 +48,48 @@ class MethodConfig:
             raise ValueError("neigh_window must be odd and positive")
         if self.sigma_mode not in ("estimated", "oracle"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.detail_rule not in (None, "hard", "soft"):
-            raise ValueError(f"detail_rule must be 'hard' or 'soft', got {self.detail_rule!r}")
 
 
-def _resolve_sigma(pyramid: Pyramid, config: MethodConfig, oracle_sigma) -> float:
-    if config.sigma_mode == "oracle":
+def _sigma(oracle: bool, oracle_sigma, grid=None, hh=None) -> float:
+    """Noise std: `oracle_sigma` when `oracle`, else the MAD estimate of the finest HH band.
+
+    Pass `hh` when the caller already holds that band; otherwise the
+    even-trimmed `grid` is transformed once.  Oracle mode runs no transform.
+    """
+    if oracle:
         if oracle_sigma is None:
             raise ValueError("sigma_mode='oracle' requires oracle_sigma")
         return float(oracle_sigma)
-    return estimate_noise_mad(pyramid.levels[0].hh)
+    if hh is None:
+        h, w = grid.shape
+        hh = dwt2_haar(grid[: h - h % 2, : w - w % 2]).hh
+    return estimate_noise_mad(hh)
 
 
-def _shrink_details(pyramid: Pyramid, config: MethodConfig, sigma: float, band_log=None) -> Pyramid:
-    """Threshold every detail band at every level; LL is never touched."""
-    rule_kind = config.detail_rule or _DEFAULT_RULES.get(config.method)
-    new_levels = []
-    for k, bands in enumerate(pyramid.levels, start=1):
-        shrunk = {}
-        for name, band in (("lh", bands.lh), ("hl", bands.hl), ("hh", bands.hh)):
-            if band_log is not None:
-                band_log.append((k, name))
-            if config.method == "visu":
-                t = visu_threshold(sigma, band.size)
-                shrunk[name] = apply_threshold(band, ThresholdRule(rule_kind, t))
-            elif config.method == "sure":
-                if sigma == 0:
-                    shrunk[name] = band.copy()
-                else:
-                    t = sure_threshold(band, sigma)
-                    shrunk[name] = apply_threshold(band, ThresholdRule(rule_kind, t))
-            elif config.method == "bayes":
-                t = bayes_threshold(band_stats(band, sigma), config.bayes_squared_denominator)
-                shrunk[name] = apply_threshold(band, ThresholdRule(rule_kind, t))
-            elif config.method == "neigh":
-                t_u = visu_threshold(sigma, band.size)
-                shrunk[name] = neigh_shrink(band, t_u, config.neigh_window)
-            else:
-                raise ValueError(f"{config.method!r} is not a wavelet shrinkage method")
-        new_levels.append(bands.with_details(shrunk["lh"], shrunk["hl"], shrunk["hh"]))
-    return Pyramid(tuple(new_levels), pyramid.top_ll, pyramid.original_shape)
+# One detail-band shrinker per wavelet method, (band, sigma, config) -> band:
+# Visu hard, Sure and Bayes soft, Neigh its own factor.  The entries call the
+# shrinkage functions through this module's globals, so a wrapper rebound over
+# them at run time is still reached.
+_SHRINKERS = {
+    "visu": lambda band, sigma, config: apply_threshold(
+        band, ThresholdRule("hard", visu_threshold(sigma, band.size))),
+    "sure": lambda band, sigma, config: band.copy() if sigma == 0 else apply_threshold(
+        band, ThresholdRule("soft", sure_threshold(band, sigma))),
+    "bayes": lambda band, sigma, config: apply_threshold(
+        band, ThresholdRule("soft", bayes_threshold(band_stats(band, sigma)))),
+    "neigh": lambda band, sigma, config: neigh_shrink(
+        band, visu_threshold(sigma, band.size), config.neigh_window),
+}
+
+
+def _shrink_level(level: int, details, sigma: float, shrink, config: MethodConfig, band_log):
+    """Shrink one level's (lh, hl, hh) bands; `band_log` records each (level, band)."""
+    shrunk = []
+    for name, band in zip(("lh", "hl", "hh"), details):
+        if band_log is not None:
+            band_log.append((level, name))
+        shrunk.append(shrink(band, sigma, config))
+    return tuple(shrunk)
 
 
 def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
@@ -103,34 +99,32 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band
     thresholded, for instrumentation.
     """
     img = np.asarray(image, dtype=np.float64)
+    oracle = config.sigma_mode == "oracle"
     if config.method == "bilateral":
-        params = _range_params(img, config, oracle_sigma)
-        return bilateral_filter(img, params)
+        sigma = _sigma(oracle, oracle_sigma, grid=img)
+        return bilateral_filter(img, _range_params(config.bilateral_params, sigma))
     if config.method == "collaborative":
         return collaborative(img, config, oracle_sigma, band_log=band_log)
     if config.method == "mrbf":
         return mrbf(img, config, oracle_sigma, band_log=band_log)
     pyramid = decompose(img, config.levels)
-    sigma = _resolve_sigma(pyramid, config, oracle_sigma)
-    return reconstruct(_shrink_details(pyramid, config, sigma, band_log=band_log))
+    sigma = _sigma(oracle, oracle_sigma, hh=pyramid.levels[0][2])
+    shrink = _SHRINKERS[config.method]
+    levels = tuple(
+        _shrink_level(k, details, sigma, shrink, config, band_log)
+        for k, details in enumerate(pyramid.levels, start=1)
+    )
+    return reconstruct(Pyramid(levels, pyramid.top_ll, pyramid.original_shape))
 
 
-def _range_params(img, config: MethodConfig, oracle_sigma) -> BilateralParams:
-    """Bilateral parameters with sigma_r = 2 * noise std (estimated or oracle)."""
-    if config.sigma_mode == "oracle":
-        if oracle_sigma is None:
-            raise ValueError("sigma_mode='oracle' requires oracle_sigma")
-        sigma = float(oracle_sigma)
-    else:
-        h, w = img.shape
-        trimmed = img[: h - h % 2, : w - w % 2]
-        sigma = estimate_noise_mad(dwt2_haar(trimmed).hh)
-    return replace(config.bilateral_params, sigma_r=max(2.0 * sigma, 1e-6))
+def _range_params(params: BilateralParams, sigma: float) -> BilateralParams:
+    """`params` with sigma_r = 2 * noise std, floored at 1e-6."""
+    return replace(params, sigma_r=max(2.0 * sigma, 1e-6))
 
 
 def bilateral_pass(grid, sigma: float, params: BilateralParams) -> np.ndarray:
     """One MRBF bilateral pass: sigma_r = 2 * sigma, window shrunk to fit `grid`."""
-    params = replace(params, sigma_r=max(2.0 * sigma, 1e-6))
+    params = _range_params(params, sigma)
     if params.window > 2 * min(grid.shape) - 1:
         params = replace(params, window=max(2 * min(grid.shape) - 1, 1) | 1)
     return bilateral_filter(grid, params)
@@ -140,16 +134,11 @@ def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None
     """BayesShrink wavelet denoising followed by a bilateral pass.
 
     The bilateral range fall-off targets the residual noise, re-estimated on
-    the Bayes output (set `collab_reuse_sigma` to reuse the pre-denoise
-    estimate instead).
+    the Bayes output.
     """
-    bayes_config = replace(config, method="bayes")
-    stage1 = denoise(image, bayes_config, oracle_sigma, band_log=band_log)
-    if config.collab_reuse_sigma:
-        params = _range_params(np.asarray(image, dtype=np.float64), config, oracle_sigma)
-    else:
-        params = _range_params(stage1, replace(config, sigma_mode="estimated"), None)
-    return bilateral_filter(stage1, params)
+    stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma, band_log=band_log)
+    sigma = _sigma(False, None, grid=stage1)
+    return bilateral_filter(stage1, _range_params(config.bilateral_params, sigma))
 
 
 def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
@@ -171,28 +160,20 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
     h, w = img.shape
     if h % (1 << config.levels) or w % (1 << config.levels):
         raise ValueError(f"dimensions {h}x{w} not divisible by 2^{config.levels}")
+    oracle = config.sigma_mode == "oracle"
 
     def recurse(grid, level):
         if config.mrbf_every_level or level == 1:
-            if level == 1 and config.sigma_mode == "oracle":
-                if oracle_sigma is None:
-                    raise ValueError("sigma_mode='oracle' requires oracle_sigma")
-                pre_sigma = float(oracle_sigma)
-            else:
-                pre_sigma = estimate_noise_mad(dwt2_haar(grid).hh)
+            pre_sigma = _sigma(oracle and level == 1, oracle_sigma, grid=grid)
             grid = bilateral_pass(grid, pre_sigma, config.bilateral_params)
         bands = dwt2_haar(grid)
-        sigma = estimate_noise_mad(bands.hh)
-        shrunk = {}
-        for name, band in (("lh", bands.lh), ("hl", bands.hl), ("hh", bands.hh)):
-            if band_log is not None:
-                band_log.append((level, name))
-            t = bayes_threshold(band_stats(band, sigma), config.bayes_squared_denominator)
-            shrunk[name] = apply_threshold(band, ThresholdRule("soft", t))
+        sigma = _sigma(False, None, hh=bands.hh)
+        details = (bands.lh, bands.hl, bands.hh)
+        lh, hl, hh = _shrink_level(level, details, sigma, _SHRINKERS["bayes"], config, band_log)
         if level == config.levels:
             ll = bilateral_pass(bands.ll, sigma, config.bilateral_params)
         else:
             ll = recurse(bands.ll, level + 1)
-        return idwt2_haar(SubBands(ll, shrunk["lh"], shrunk["hl"], shrunk["hh"]))
+        return idwt2_haar(SubBands(ll, lh, hl, hh))
 
     return recurse(img, 1)

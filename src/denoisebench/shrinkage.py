@@ -127,21 +127,17 @@ def band_stats(band, sigma_n: float) -> BandStats:
     return BandStats(sigma_n=sigma_n, sigma_w=math.sqrt(var_w), sigma_s=sigma_s, n=x.size)
 
 
-def bayes_threshold(stats: BandStats, squared_signal_denominator: bool = False) -> float:
+def bayes_threshold(stats: BandStats) -> float:
     """BayesShrink threshold sigma_n^2 / sigma_s.
 
     When the signal std is zero the band carries no signal; a sentinel equal
     to +inf is returned so soft thresholding zeroes the whole band.
-
-    `squared_signal_denominator` selects the sigma_n^2 / sigma_s^2 variant
-    (dimensionally inconsistent; kept for comparison runs only).
     """
     if stats.sigma_n == 0:
         return 0.0
     if stats.sigma_s == 0:
         return math.inf
-    denom = stats.sigma_s**2 if squared_signal_denominator else stats.sigma_s
-    return stats.sigma_n**2 / denom
+    return stats.sigma_n**2 / stats.sigma_s
 
 
 def neigh_shrink(band, t_universal: float, window: int = 3) -> np.ndarray:

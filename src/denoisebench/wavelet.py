@@ -26,33 +26,26 @@ class SubBands:
         if len(shapes) != 1:
             raise ValueError(f"sub-band shapes differ: {shapes}")
 
-    def with_details(self, lh, hl, hh) -> "SubBands":
-        return SubBands(self.ll, np.asarray(lh), np.asarray(hl), np.asarray(hh))
-
 
 @dataclass(frozen=True)
 class Pyramid:
-    """Multilevel decomposition: detail bands per level, finest first.
+    """Multilevel decomposition: ``(lh, hl, hh)`` detail bands per level,
+    finest first, plus the coarsest approximation ``top_ll``."""
 
-    ``levels[k].ll`` is retained for shape checking only; reconstruction uses
-    ``top_ll`` and the detail bands.
-    """
-
-    levels: tuple[SubBands, ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     top_ll: np.ndarray
     original_shape: tuple[int, int]
 
     def __post_init__(self):
         h, w = self.original_shape
-        for k, bands in enumerate(self.levels, start=1):
+        for k, details in enumerate(self.levels, start=1):
             expect = (h >> k, w >> k)
-            if bands.hh.shape != expect:
-                raise ValueError(f"level {k} band shape {bands.hh.shape}, expected {expect}")
-        if self.top_ll.shape != self.levels[-1].ll.shape:
-            raise ValueError(
-                f"top_ll shape {self.top_ll.shape} inconsistent with coarsest level "
-                f"{self.levels[-1].ll.shape}"
-            )
+            for band in details:
+                if band.shape != expect:
+                    raise ValueError(f"level {k} band shape {band.shape}, expected {expect}")
+        k = len(self.levels)
+        if self.top_ll.shape != (h >> k, w >> k):
+            raise ValueError(f"top_ll shape {self.top_ll.shape}, expected {(h >> k, w >> k)}")
 
 
 def dwt2_haar(grid) -> SubBands:
@@ -101,7 +94,7 @@ def decompose(image, levels: int) -> Pyramid:
     current = x
     for _ in range(levels):
         bands = dwt2_haar(current)
-        stack.append(bands)
+        stack.append((bands.lh, bands.hl, bands.hh))
         current = bands.ll
     return Pyramid(levels=tuple(stack), top_ll=current, original_shape=(h, w))
 
@@ -109,11 +102,6 @@ def decompose(image, levels: int) -> Pyramid:
 def reconstruct(pyramid: Pyramid) -> np.ndarray:
     """Exact inverse of :func:`decompose`."""
     current = pyramid.top_ll
-    for bands in reversed(pyramid.levels):
-        if current.shape != bands.hh.shape:
-            raise ValueError(
-                f"approximation shape {current.shape} inconsistent with details "
-                f"{bands.hh.shape}"
-            )
-        current = idwt2_haar(SubBands(current, bands.lh, bands.hl, bands.hh))
+    for lh, hl, hh in reversed(pyramid.levels):
+        current = idwt2_haar(SubBands(current, lh, hl, hh))
     return current

@@ -40,7 +40,10 @@ def test_criterion_1_transform_round_trip_and_energy():
             pyramid = decompose(img, levels)
             assert np.max(np.abs(reconstruct(pyramid) - img)) < 1e-9
             current = img
-            for bands in pyramid.levels:
+            for details in pyramid.levels:
+                bands = dwt2_haar(current)
+                for got, want in zip(details, (bands.lh, bands.hl, bands.hh), strict=True):
+                    assert np.array_equal(got, want)
                 in_energy = float(np.sum(current**2))
                 out_energy = sum(
                     float(np.sum(b**2))
@@ -48,6 +51,7 @@ def test_criterion_1_transform_round_trip_and_energy():
                 )
                 assert abs(out_energy - in_energy) <= 1e-12 * in_energy
                 current = bands.ll
+            assert np.array_equal(current, pyramid.top_ll)
     elapsed = time.perf_counter() - start
     print(f"criterion 1: round-trip + energy conservation ok in {elapsed:.2f}s")
     assert elapsed < 5.0

@@ -39,6 +39,16 @@ def test_load_p2_ascii(tmp_path):
     assert load_pgm(path).tolist() == [[10.0, 20.0]]
 
 
+def test_load_rescales_maxval_below_255(tmp_path):
+    p5, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    p5.write_bytes(b"P5\n3 1\n15\n" + bytes([0, 5, 15]))
+    p2.write_bytes(b"P2\n3 1\n15\n0 5 15")
+    for path in (p5, p2):
+        img = load_pgm(path)
+        assert img.max() == 255.0
+        assert img.tolist() == [[0.0, 85.0, 255.0]]
+
+
 def test_load_header_comments(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n# made by hand\n2 1 # dims\n255\n" + bytes([7, 9]))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from denoisebench.metrics import psnr
-from denoisebench.noise import NoiseModel, add_awgn
+from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
 from denoisebench.synth import texture_image
+from denoisebench.wavelet import dwt2_haar
 
 
 @pytest.fixture(scope="module")
@@ -30,8 +31,6 @@ def test_config_validation():
         MethodConfig(neigh_window=2)
     with pytest.raises(ValueError):
         MethodConfig(sigma_mode="guessed")
-    with pytest.raises(ValueError):
-        MethodConfig(detail_rule="fuzzy")
 
 
 def test_all_methods_run_and_are_deterministic(noisy):
@@ -56,12 +55,12 @@ def test_every_method_beats_doing_nothing(texture):
 
 
 def test_only_detail_bands_are_thresholded(noisy):
+    # every detail band of every level exactly once, finest level first
+    expected = [(k, b) for k in (1, 2, 3) for b in ("lh", "hl", "hh")]
     for method in ("visu", "sure", "bayes", "neigh", "mrbf", "collaborative"):
         log = []
         denoise(noisy, MethodConfig(method=method, levels=3), band_log=log)
-        assert log, method
-        assert all(name in ("lh", "hl", "hh") for _, name in log)
-        assert {level for level, _ in log} == {1, 2, 3}
+        assert log == expected, method
 
 
 def test_visu_oracle_zero_sigma_is_identity(texture):
@@ -71,9 +70,18 @@ def test_visu_oracle_zero_sigma_is_identity(texture):
 
 
 def test_oracle_mode_requires_sigma(noisy):
-    for method in ("visu", "bilateral", "mrbf"):
-        with pytest.raises(ValueError):
+    for method in METHODS:
+        with pytest.raises(ValueError, match="requires oracle_sigma"):
             denoise(noisy, MethodConfig(method=method, sigma_mode="oracle"))
+
+
+def test_oracle_mode_given_mad_estimate_matches_estimated_mode(noisy):
+    sigma_hat = estimate_noise_mad(dwt2_haar(noisy).hh)
+    for method in METHODS:
+        estimated = denoise(noisy, MethodConfig(method=method))
+        config = MethodConfig(method=method, sigma_mode="oracle")
+        oracle = denoise(noisy, config, oracle_sigma=sigma_hat)
+        np.testing.assert_array_equal(oracle, estimated, err_msg=method)
 
 
 def test_bayes_near_identity_on_band_limited_image():
@@ -115,8 +123,6 @@ def test_collaborative_composition(texture):
     config = MethodConfig(method="collaborative")
     out = collaborative(noisy, config)
     np.testing.assert_array_equal(out, denoise(noisy, config))
-    reused = denoise(noisy, MethodConfig(method="collaborative", collab_reuse_sigma=True))
-    assert not np.array_equal(out, reused)
 
 
 def test_bilateral_sigma_r_tracks_noise(texture):

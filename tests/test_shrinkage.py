@@ -144,11 +144,6 @@ def test_bayes_threshold_sentinels():
     assert bayes_threshold(clean) == 0.0
 
 
-def test_bayes_squared_denominator_variant():
-    stats = BandStats(sigma_n=10.0, sigma_w=math.sqrt(500.0), sigma_s=20.0, n=1)
-    assert bayes_threshold(stats, squared_signal_denominator=True) == pytest.approx(0.25)
-
-
 def _neigh_brute_force(band, t_u, window):
     """Direct triple-loop neighborhood sum with reflect-101 borders."""
     y = np.asarray(band, dtype=np.float64)

@@ -51,11 +51,7 @@ def test_subbands_rejects_mismatched_shapes():
 def test_zeroed_details_reconstruct_block_mean():
     pyramid = decompose(np.array([[1.0, 2.0], [3.0, 4.0]]), levels=1)
     zero = np.zeros((1, 1))
-    stripped = Pyramid(
-        (SubBands(pyramid.levels[0].ll, zero, zero, zero),),
-        pyramid.top_ll,
-        (2, 2),
-    )
+    stripped = Pyramid(((zero, zero, zero),), pyramid.top_ll, (2, 2))
     np.testing.assert_allclose(reconstruct(stripped), 2.5)
 
 
@@ -64,11 +60,11 @@ def test_decompose_shapes_and_constant_scaling():
     one = decompose(img, 1)
     assert len(one.levels) == 1
     assert one.top_ll.shape == (256, 256)
-    assert one.levels[0].hh.shape == (256, 256)
+    assert [b.shape for b in one.levels[0]] == [(256, 256)] * 3
     three = decompose(img, 3)
     np.testing.assert_allclose(three.top_ll, 3.0 * 2**3)
-    for bands in three.levels:
-        assert not bands.hh.any()
+    for details in three.levels:
+        assert not any(b.any() for b in details)
 
 
 def test_decompose_divisibility_precondition():
@@ -82,21 +78,33 @@ def test_pyramid_tampered_top_ll_rejected():
         Pyramid(pyramid.levels, np.zeros((8, 8)), (16, 16))
 
 
+def test_pyramid_misshapen_detail_band_rejected():
+    pyramid = decompose(np.random.default_rng(0).normal(size=(16, 16)), 2)
+    lh, hl, hh = pyramid.levels[1]
+    with pytest.raises(ValueError):
+        Pyramid((pyramid.levels[0], (lh, hl[:, :2], hh)), pyramid.top_ll, (16, 16))
+
+
 @pytest.mark.parametrize("size,levels", [(64, 1), (64, 2), (128, 3), (512, 4)])
 def test_round_trip_and_energy(size, levels):
     rng = np.random.default_rng(size + levels)
     img = rng.uniform(0.0, 255.0, (size, size))
     pyramid = decompose(img, levels)
     assert np.max(np.abs(reconstruct(pyramid) - img)) < 1e-9
-    # orthonormality: total coefficient energy equals image energy per level
+    # orthonormality: total coefficient energy equals image energy per level;
+    # the pyramid holds exactly the detail bands of the chained transforms
     energy = float(np.sum(img**2))
     current = img
-    for bands in pyramid.levels:
+    for details in pyramid.levels:
+        bands = dwt2_haar(current)
+        for got, want in zip(details, (bands.lh, bands.hl, bands.hh), strict=True):
+            np.testing.assert_array_equal(got, want)
         level_energy = sum(
             float(np.sum(b**2)) for b in (bands.ll, bands.lh, bands.hl, bands.hh)
         )
         assert abs(level_energy - float(np.sum(current**2))) <= 1e-12 * energy
         current = bands.ll
+    np.testing.assert_array_equal(current, pyramid.top_ll)
 
 
 @settings(max_examples=30, deadline=None)
