@@ -115,13 +115,16 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
+    if args.sigma_mode == "oracle" and args.sigma is None:
+        raise SystemExit("bench denoise: --sigma-mode oracle needs --sigma")
+    if args.sigma_mode != "oracle" and args.sigma is not None:
+        raise SystemExit("bench denoise: --sigma needs --sigma-mode oracle")
     image = load_pgm(getattr(args, "in"))
     name = _METHOD_ALIASES.get(args.method, args.method)
     if name not in METHODS:
         raise SystemExit(f"bench: unknown method {args.method!r}")
     config = MethodConfig(method=name, levels=args.levels, sigma_mode=args.sigma_mode)
-    oracle_sigma = args.sigma if config.sigma_mode == "oracle" else None
-    save_pgm(denoise(image, config, oracle_sigma=oracle_sigma), args.out)
+    save_pgm(denoise(image, config, oracle_sigma=args.sigma), args.out)
     print(f"bench: {name}-denoised image written to {args.out}")
     return 0
 
@@ -153,7 +156,7 @@ def main(argv=None) -> int:
     one = sub.add_parser("denoise", help="denoise a single PGM")
     one.add_argument("--in", required=True, help="input PGM")
     one.add_argument("--method", required=True, help="denoising method")
-    one.add_argument("--sigma", type=float, help="noise std for oracle mode / bilateral sigma_r")
+    one.add_argument("--sigma", type=float, help="true noise std; needs --sigma-mode oracle")
     one.add_argument("--sigma-mode", dest="sigma_mode", default="estimated",
                      choices=["estimated", "oracle"])
     one.add_argument("--levels", type=int, default=3)

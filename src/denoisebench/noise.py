@@ -16,7 +16,16 @@ Lea & Flood 2014) feeding a Box-Muller transform:
 * Deviates fill the image in row-major pixel order.
 
 Every step is a pure function of (seed, index), so the same (image shape,
-sigma, seed) always reproduces the identical noise field, in any language.
+sigma, seed) always reproduces the identical noise field with the same
+numpy, C library and CPU features.  The integer stream and the uniforms are
+exact on every machine.  The Gaussian deviates are not: ``np.log`` has SIMD
+kernels chosen at run time by CPU, and ``np.sin``/``np.cos`` come from the C
+library, so last bits may differ between hosts (on one AVX-512 host, 756 of
+200 000 ``np.log`` values differ from Python's ``math.log``).
+
+Because output i depends only on (seed, i), the uniforms are drawn as two
+contiguous runs, ``u_{2k}`` from outputs 0, 2, 4, ... and ``u_{2k+1}`` from
+outputs 1, 3, 5, ...; this changes no value.
 """
 
 from dataclasses import dataclass
@@ -56,38 +65,74 @@ class NoiseModel:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
+def _splitmix64(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
+    """Replace the uint64 counters in `z` by their SplitMix64 outputs, in place.
+
+    `tmp` is a uint64 work array of the same shape; its contents are lost.
+    """
+    with np.errstate(over="ignore"):
+        z *= _GOLDEN
+        z += np.uint64(seed)
+        np.right_shift(z, np.uint64(30), out=tmp)
+        z ^= tmp
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, np.uint64(27), out=tmp)
+        z ^= tmp
+        z *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(z, np.uint64(31), out=tmp)
+        z ^= tmp
+
+
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the SplitMix64 stream for `seed`, as uint64."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed) + idx * _GOLDEN
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    _splitmix64(seed, z, np.empty_like(z))
     return z
+
+
+def _uniforms(seed: int, j: int, work: np.ndarray) -> np.ndarray:
+    """Uniforms u_{2k+j} for k < work.size (j is 0 or 1), as one contiguous run.
+
+    `work` is a float64 work array; its contents are lost.  The result
+    reuses the memory of the run's counters.
+    """
+    bits = np.arange(j + 1, 2 * work.size + 1, 2, dtype=np.uint64)
+    _splitmix64(seed, bits, work.view(np.uint64))
+    bits >>= np.uint64(11)
+    np.add(bits, 0.5, out=work)
+    u = bits.view(np.float64)
+    np.multiply(work, 2.0**-53, out=u)
+    return u
 
 
 def gaussian_field(seed: int, shape: tuple[int, int]) -> np.ndarray:
     """Standard-normal field of the given shape, filled in row-major order."""
     n = int(np.prod(shape))
     pairs = (n + 1) // 2
-    bits = splitmix64_stream(seed, 2 * pairs)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    z = np.empty(2 * pairs)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:n].reshape(shape)
+    # row k of z holds deviates 2k and 2k+1, so z.ravel() is row-major order;
+    # until cos and sin fill z, its first half is the runs' work array
+    z = np.empty((pairs, 2))
+    work = z.ravel()[:pairs]
+    r = _uniforms(seed, 0, work)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = _uniforms(seed, 1, work)
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=z[:, 0])
+    np.sin(theta, out=z[:, 1])
+    z[:, 0] *= r
+    z[:, 1] *= r
+    return z.ravel()[:n].reshape(shape)
 
 
 def add_awgn(image, model: NoiseModel) -> np.ndarray:
     """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped."""
     img = as_image(image)
-    return img + model.sigma * gaussian_field(model.seed, img.shape)
+    noisy = gaussian_field(model.seed, img.shape)
+    noisy *= model.sigma
+    noisy += img
+    return noisy
 
 
 def estimate_noise_mad(finest_hh) -> float:

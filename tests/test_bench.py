@@ -19,7 +19,7 @@ from denoisebench.cli import main as cli_main
 from denoisebench.imagecore import save_pgm
 from denoisebench.noise import splitmix64_stream
 from denoisebench.pipelines import MethodConfig
-from denoisebench.synth import texture_image
+from denoisebench.synth import checkerboard_image, texture_image
 
 
 def _tiny_config(tmp_path, methods=("visu", "bayes"), **kwargs):
@@ -225,6 +225,29 @@ def test_cli_denoise_single_shot(tmp_path):
     ])
     assert rc == 0
     assert out.exists()
+
+
+def _denoise_checker_argv(tmp_path):
+    img = tmp_path / "checker128.pgm"
+    save_pgm(checkerboard_image(128), img)
+    return ["denoise", "--in", str(img), "--method", "bayes", "--out", str(tmp_path / "out.pgm")]
+
+
+def test_cli_denoise_rejects_sigma_without_oracle_mode(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_denoise_checker_argv(tmp_path) + ["--sigma", "20"])
+    assert exc.value.code == "bench denoise: --sigma needs --sigma-mode oracle"
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_cli_denoise_oracle_mode_needs_sigma(tmp_path):
+    argv = _denoise_checker_argv(tmp_path) + ["--sigma-mode", "oracle"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == "bench denoise: --sigma-mode oracle needs --sigma"
+    assert not (tmp_path / "out.pgm").exists()
+    assert cli_main(argv + ["--sigma", "20"]) == 0
+    assert (tmp_path / "out.pgm").exists()
 
 
 def test_cli_rejects_unknown_method(tmp_path):

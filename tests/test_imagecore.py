@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from denoisebench.imagecore import (
     PgmError,
@@ -82,12 +82,28 @@ def test_save_clamps_and_rounds_half_up(tmp_path, value, expected):
     assert load_pgm(path)[0, 0] == expected
 
 
+_SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)
+
+
 @settings(max_examples=50)
-@given(arrays(np.uint8, (7, 5), elements=st.integers(0, 255)))
+@given(arrays(np.uint8, _SHAPES, elements=st.integers(0, 255)))
 def test_pgm_round_trip_is_exact(tmp_path_factory, pixels):
     path = tmp_path_factory.mktemp("pgm") / "rt.pgm"
     save_pgm(pixels.astype(np.float64), path)
     np.testing.assert_array_equal(load_pgm(path), pixels.astype(np.float64))
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_load_p5_rescales_any_maxval_below_255(tmp_path_factory, data):
+    maxval = data.draw(st.integers(1, 254))
+    pixels = data.draw(arrays(np.uint8, _SHAPES, elements=st.integers(0, maxval)))
+    height, width = pixels.shape
+    path = tmp_path_factory.mktemp("pgm") / "low.pgm"
+    path.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + pixels.tobytes())
+    img = load_pgm(path)
+    assert img.shape == pixels.shape
+    assert img.tolist() == [[v * 255.0 / maxval for v in row] for row in pixels.tolist()]
 
 
 def test_pad_mirror_reflect_101_pattern():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from denoisebench.metrics import psnr
 from denoisebench.noise import (
@@ -15,6 +16,21 @@ from denoisebench.noise import (
     splitmix64_stream,
 )
 from denoisebench.wavelet import dwt2_haar
+
+
+def _gaussian_field_oracle(seed, shape):
+    """One stream, strided uniform operands, interleaved writes: the reference."""
+    n = int(np.prod(shape))
+    pairs = (n + 1) // 2
+    bits = splitmix64_stream(seed, 2 * pairs)
+    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u1, u2 = u[0::2], u[1::2]
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    z = np.empty(2 * pairs)
+    z[0::2] = r * np.cos(theta)
+    z[1::2] = r * np.sin(theta)
+    return z[:n].reshape(shape)
 
 
 def test_splitmix64_known_vectors():
@@ -48,6 +64,47 @@ def test_gaussian_field_odd_count():
     assert z.shape == (3, 3)
     # the first 8 deviates match the even-sized stream (last pair truncated)
     np.testing.assert_array_equal(z.ravel()[:8], gaussian_field(5, (2, 4)).ravel())
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (7, 9), (1, 4097), (512, 512)])
+def test_gaussian_field_matches_oracle(seed, shape):
+    z = gaussian_field(seed, shape)
+    assert z.shape == shape and z.dtype == np.float64
+    assert np.array_equal(z, _gaussian_field_oracle(seed, shape))
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**64 - 1), array_shapes(min_dims=2, max_dims=2, max_side=40))
+def test_gaussian_field_matches_oracle_random(seed, shape):
+    assert np.array_equal(gaussian_field(seed, shape), _gaussian_field_oracle(seed, shape))
+
+
+def test_add_awgn_matches_oracle():
+    img = np.arange(7 * 9, dtype=np.float64).reshape(7, 9) * 3.7
+    for seed, sigma in ((0, 25.0), (2**64 - 1, 0.3), (12345, 17.125)):
+        noisy = add_awgn(img, NoiseModel(sigma=sigma, seed=seed))
+        assert np.array_equal(noisy, img + sigma * _gaussian_field_oracle(seed, img.shape))
+
+
+def test_add_awgn_leaves_input_alone_and_accepts_any_layout():
+    model = NoiseModel(sigma=12.5, seed=3)
+    img = np.linspace(0.0, 255.0, 48).reshape(6, 8)
+    before = img.copy()
+    noisy = add_awgn(img, model)
+    assert np.array_equal(img, before)
+    assert noisy is not img and not np.shares_memory(noisy, img)
+
+    pixels = np.arange(48, dtype=np.uint8).reshape(6, 8)
+    expected = pixels.astype(np.float64) + 12.5 * _gaussian_field_oracle(3, (6, 8))
+    assert np.array_equal(add_awgn(pixels, model), expected)
+
+    wide = np.arange(6 * 16, dtype=np.float64).reshape(16, 6)
+    view = wide.T[:, ::2]  # (6, 8), neither C- nor F-contiguous
+    assert not view.flags.c_contiguous and not view.flags.f_contiguous
+    expected = np.ascontiguousarray(view) + 12.5 * _gaussian_field_oracle(3, (6, 8))
+    assert np.array_equal(add_awgn(view, model), expected)
+    assert np.array_equal(wide, np.arange(6 * 16, dtype=np.float64).reshape(16, 6))
 
 
 def test_noise_model_validation():
