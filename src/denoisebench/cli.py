@@ -1,6 +1,8 @@
 """`bench` command line: benchmark sweeps, synthetic images, one-shot denoising."""
 
 import argparse
+import ctypes
+import functools
 import math
 import sys
 from pathlib import Path
@@ -17,6 +19,36 @@ from denoisebench.pipelines import METHODS, MethodConfig, denoise
 from denoisebench.synth import default_set, texture_image
 
 _METHOD_ALIASES = {"collab": "collaborative"}
+
+# mallopt parameter numbers from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc's DEFAULT_MMAP_THRESHOLD_MAX on 64-bit: the highest mmap threshold its
+# own dynamic rule can reach, which keeps the trim threshold at twice that
+_MMAP_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed heap pages for the next sweep cell.
+
+    glibc's dynamic thresholds settle near a 2 MiB mmap and a 4 MiB trim
+    threshold, so every cell hands its freed image-sized arrays back to the
+    kernel and the next cell faults them in again as zeroed pages (about
+    2 000 faults per 512x512 wavelet cell).  Setting both thresholds to the
+    top of glibc's dynamic range keeps them mapped; setting only one would
+    switch the dynamic rule off and leave the other at its small default.
+    Only the allocator changes, never a result.  Without `mallopt`
+    (non-glibc C libraries) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
@@ -119,17 +151,23 @@ def _cmd_denoise(args) -> int:
         raise SystemExit("bench denoise: --sigma-mode oracle needs --sigma")
     if args.sigma_mode != "oracle" and args.sigma is not None:
         raise SystemExit("bench denoise: --sigma needs --sigma-mode oracle")
-    image = load_pgm(getattr(args, "in"))
+    if args.sigma is not None and not args.sigma > 0:
+        raise SystemExit(f"bench denoise: --sigma must be positive, got {args.sigma:g}")
     name = _METHOD_ALIASES.get(args.method, args.method)
     if name not in METHODS:
         raise SystemExit(f"bench: unknown method {args.method!r}")
-    config = MethodConfig(method=name, levels=args.levels, sigma_mode=args.sigma_mode)
-    save_pgm(denoise(image, config, oracle_sigma=args.sigma), args.out)
+    try:
+        config = MethodConfig(method=name, levels=args.levels, sigma_mode=args.sigma_mode)
+        denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
+    except ValueError as exc:
+        raise SystemExit(f"bench denoise: {exc}") from None
+    save_pgm(denoised, args.out)
     print(f"bench: {name}-denoised image written to {args.out}")
     return 0
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(prog="bench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -46,7 +46,10 @@ def psnr(reference, test, clamp: bool = True) -> float:
     if clamp:
         ref = np.clip(ref, 0.0, PEAK)
         tst = np.clip(tst, 0.0, PEAK)
-    mse = float(np.mean((tst - ref) ** 2))
+    return _psnr_from_mse(float(np.mean((tst - ref) ** 2)))
+
+
+def _psnr_from_mse(mse: float) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(PEAK**2 / mse)
@@ -101,6 +104,6 @@ def evaluate(reference, test, clamp: bool = True) -> MetricsReport:
         mse=mse,
         rmse=rmse,
         mae=mae,
-        psnr_db=psnr(ref, tst, clamp=False),
+        psnr_db=_psnr_from_mse(mse),
         uqi=uqi(ref, tst),
     )

@@ -1,10 +1,17 @@
 """Benchmark harness: seed derivation, CSV output, determinism, summaries."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import denoisebench
 from denoisebench.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -15,6 +22,7 @@ from denoisebench.bench import (
     write_csv,
     write_summary,
 )
+from denoisebench import cli
 from denoisebench.cli import main as cli_main
 from denoisebench.imagecore import save_pgm
 from denoisebench.noise import splitmix64_stream
@@ -248,6 +256,88 @@ def test_cli_denoise_oracle_mode_needs_sigma(tmp_path):
     assert not (tmp_path / "out.pgm").exists()
     assert cli_main(argv + ["--sigma", "20"]) == 0
     assert (tmp_path / "out.pgm").exists()
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--levels", "9"], "bench denoise: levels must be in [1, 6]"),
+    (["--sigma-mode", "oracle", "--sigma", "-5"], "bench denoise: --sigma must be positive, got -5"),
+    (["--sigma-mode", "oracle", "--sigma", "0"], "bench denoise: --sigma must be positive, got 0"),
+    (["--sigma-mode", "oracle", "--sigma", "nan"], "bench denoise: --sigma must be positive, got nan"),
+])
+def test_cli_denoise_reports_bad_arguments_in_one_line(tmp_path, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_denoise_checker_argv(tmp_path) + extra)
+    assert exc.value.code == message
+    assert not (tmp_path / "out.pgm").exists()
+
+
+def test_cli_denoise_reports_unsupported_size_in_one_line(tmp_path):
+    img = tmp_path / "odd.pgm"
+    save_pgm(checkerboard_image(128)[:75, :100], img)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["denoise", "--in", str(img), "--method", "bayes", "--out", str(tmp_path / "out.pgm")])
+    assert exc.value.code == "bench denoise: dimensions 75x100 not divisible by 2^3"
+
+
+def test_cli_denoise_checks_sigma_before_reading_the_image(tmp_path):
+    argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--method", "bayes",
+            "--sigma-mode", "oracle", "--sigma", "-5", "--out", str(tmp_path / "out.pgm")]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == "bench denoise: --sigma must be positive, got -5"
+
+
+_GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
+
+# Run in a fresh interpreter, whose allocator has not yet been tuned by
+# glibc's dynamic thresholds or by an earlier test: one small `bench run`,
+# then rounds that each fill and free four 512x512 float64 arrays (2 MiB
+# each).  Prints the minor page faults of the last 20 rounds.
+_FAULTS_SCRIPT = """
+import contextlib, io, resource, sys
+import numpy as np
+from denoisebench import cli, imagecore, synth
+
+tmp = sys.argv[1]
+imagecore.save_pgm(synth.texture_image(64), tmp + "/t.pgm")
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(["run", "--images", tmp + "/t.pgm", "--sigmas", "10", "--methods", "visu",
+                       "--trials", "1", "--no-runtime", "--out", tmp + "/t.csv"])
+assert status == 0
+
+def round_():
+    arrays = [np.full((512, 512), float(i)) for i in range(4)]
+    del arrays
+
+round_()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    round_()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the allocator policy applies to glibc only")
+def test_cli_keeps_freed_image_arrays_mapped(tmp_path):
+    src = str(Path(denoisebench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT, str(tmp_path)],
+                            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                            timeout=120, check=True)
+    # one round faulting its arrays in anew would be 4 * 512 pages
+    assert int(result.stdout) < 512
+
+
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
+    img = tmp_path / "img.pgm"
+    save_pgm(texture_image(64), img)
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    cli._keep_freed_heap.cache_clear()
+    try:
+        assert cli_main(["run", "--images", str(img), "--sigmas", "10", "--methods", "visu",
+                         "--trials", "1", "--out", str(tmp_path / "run.csv")]) == 0
+    finally:
+        cli._keep_freed_heap.cache_clear()
 
 
 def test_cli_rejects_unknown_method(tmp_path):

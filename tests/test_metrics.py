@@ -106,6 +106,15 @@ def test_metrics_match_naive_reference():
         assert report.uqi == pytest.approx(q, rel=1e-12)
 
 
+def test_evaluate_psnr_equals_psnr_of_clamped_image():
+    rng = np.random.default_rng(654)
+    for shape in ((1, 2), (7, 9), (64, 64)):
+        ref = rng.uniform(0.0, PEAK, shape)
+        for test in (rng.uniform(-60.0, 320.0, shape), rng.normal(ref, 3.0), ref.copy()):
+            assert evaluate(ref, test).psnr_db == psnr(ref, np.clip(test, 0.0, PEAK))
+    assert math.isinf(evaluate(ref, ref).psnr_db)
+
+
 def test_evaluate_clamps_test_image():
     ref = np.full((2, 2), 255.0)
     wild = np.full((2, 2), 400.0)
