@@ -64,6 +64,11 @@ class BenchConfig:
             raise ValueError("images, sigmas and methods must all be non-empty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        bad = [s for s in self.sigmas if not 0 < s < math.inf]
+        if bad:
+            raise ValueError(f"sigmas must be finite and positive, got {bad[0]:g}")
         if self.metrics_mode not in ("clamped", "unclamped"):
             raise ValueError(f"unknown metrics_mode {self.metrics_mode!r}")
         # inputs that share a cell key would share seeds and CSV labels

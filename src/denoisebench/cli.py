@@ -88,6 +88,14 @@ def _collect_images(spec: str) -> list[str]:
     return paths
 
 
+def _integer(key: str, value) -> int:
+    """An integer flag (already an int) or config-file value (a string)."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
 def _cmd_run(args) -> int:
     file_values = _parse_config_file(args.config) if args.config else {}
 
@@ -101,15 +109,15 @@ def _cmd_run(args) -> int:
         raise SystemExit("bench run: no input images (use --images or 'images =' in the config)")
     sigmas = setting(args.sigmas, "sigmas", "10,20,30,40,50")
     method_names = _parse_methods(setting(args.methods, "methods", ",".join(METHODS)))
-    levels = int(setting(args.levels, "levels", 3))
-    trials = int(setting(args.trials, "trials", 5))
-    seed = int(setting(args.seed, "seed", 0))
     out = setting(args.out, "out", "bench.csv")
     save_images = setting(args.save_images, "save_images", None)
     metrics_mode = setting(args.metrics, "metrics", "clamped")
-    workers = int(setting(args.workers, "workers", 1))
 
     try:
+        levels = _integer("levels", setting(args.levels, "levels", 3))
+        trials = _integer("trials", setting(args.trials, "trials", 5))
+        seed = _integer("seed", setting(args.seed, "seed", 0))
+        workers = _integer("workers", setting(args.workers, "workers", 1))
         config = BenchConfig(
             image_paths=tuple(_collect_images(images)),
             sigmas=tuple(float(s) for s in str(sigmas).split(",")),
@@ -122,12 +130,13 @@ def _cmd_run(args) -> int:
             workers=workers,
             record_runtime=not args.no_runtime,
         )
-    except ValueError as exc:
+        # an unreadable or malformed input image stops the sweep before any cell runs
+        rows = run_benchmark(config)
+        write_csv(rows, out)
+        stem = Path(out).with_suffix("")
+        write_summary(rows, f"{stem}_summary.csv", f"{stem}_plot.dat")
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"bench run: {exc}") from None
-    rows = run_benchmark(config)
-    write_csv(rows, out)
-    stem = Path(out).with_suffix("")
-    write_summary(rows, f"{stem}_summary.csv", f"{stem}_plot.dat")
     print(f"bench: {len(rows)} rows -> {out}, {stem}_summary.csv, {stem}_plot.dat")
     failed = sum(math.isnan(r.psnr_db) for r in rows)
     if failed:
@@ -159,9 +168,9 @@ def _cmd_denoise(args) -> int:
     try:
         config = MethodConfig(method=name, levels=args.levels, sigma_mode=args.sigma_mode)
         denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
-    except ValueError as exc:
+        save_pgm(denoised, args.out)
+    except (OSError, ValueError) as exc:
         raise SystemExit(f"bench denoise: {exc}") from None
-    save_pgm(denoised, args.out)
     print(f"bench: {name}-denoised image written to {args.out}")
     return 0
 

@@ -287,6 +287,95 @@ def test_cli_denoise_checks_sigma_before_reading_the_image(tmp_path):
     assert exc.value.code == "bench denoise: --sigma must be positive, got -5"
 
 
+def _truncated_pgm(path):
+    save_pgm(texture_image(64), path)
+    path.write_bytes(path.read_bytes()[:-100])
+    return path
+
+
+_UNREADABLE_IMAGES = [
+    pytest.param(lambda d: d / "missing.pgm", "No such file or directory", id="missing"),
+    pytest.param(lambda d: _truncated_pgm(d / "cut.pgm"), "truncated P5 pixel payload",
+                 id="truncated"),
+]
+
+
+@pytest.mark.parametrize("make_image, message", _UNREADABLE_IMAGES)
+def test_cli_run_reports_unreadable_image_in_one_line(tmp_path, make_image, message):
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--images", str(make_image(tmp_path)), "--sigmas", "10",
+                  "--methods", "visu", "--trials", "1", "--levels", "2", "--out", str(out)])
+    assert exc.value.code.startswith("bench run: ") and message in exc.value.code
+    assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make_image, message", _UNREADABLE_IMAGES)
+def test_cli_denoise_reports_unreadable_image_in_one_line(tmp_path, make_image, message):
+    out = tmp_path / "out.pgm"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["denoise", "--in", str(make_image(tmp_path)), "--method", "bayes",
+                  "--out", str(out)])
+    assert exc.value.code.startswith("bench denoise: ") and message in exc.value.code
+    assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+def test_unreadable_image_exits_with_status_1(tmp_path):
+    src = str(Path(denoisebench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", "denoisebench.cli", "denoise", "--in", str(tmp_path / "missing.pgm"),
+         "--method", "bayes", "--out", str(tmp_path / "out.pgm")],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1
+    assert result.stderr.startswith("bench denoise: ") and result.stderr.count("\n") == 1
+
+
+def test_config_rejects_bad_workers_and_sigmas(tmp_path):
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _tiny_config(tmp_path, workers=workers)
+    for sigma in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigmas must be finite and positive"):
+            _tiny_config(tmp_path, sigmas=(10.0, sigma))
+
+
+def _run_tiny_argv(tmp_path, *extra):
+    img = tmp_path / "in.pgm"
+    save_pgm(texture_image(64), img)
+    return ["run", "--images", str(img), "--methods", "visu", "--trials", "1", "--levels", "2",
+            "--out", str(tmp_path / "run.csv"), *extra]
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--workers", "0"], "bench run: workers must be >= 1, got 0"),
+    (["--workers", "-3"], "bench run: workers must be >= 1, got -3"),
+    (["--sigmas", "10,-5"], "bench run: sigmas must be finite and positive, got -5"),
+    (["--sigmas", "0"], "bench run: sigmas must be finite and positive, got 0"),
+    (["--sigmas", "10,nan"], "bench run: sigmas must be finite and positive, got nan"),
+    (["--sigmas", "inf"], "bench run: sigmas must be finite and positive, got inf"),
+])
+def test_cli_run_rejects_bad_workers_and_sigmas(tmp_path, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(_run_tiny_argv(tmp_path, *extra))
+    assert exc.value.code == message
+    assert not (tmp_path / "run.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["trials", "levels", "seed", "workers"])
+def test_cli_run_reports_non_integer_config_value(tmp_path, key):
+    cfg = tmp_path / "bench.cfg"
+    img = tmp_path / "in.pgm"
+    save_pgm(texture_image(64), img)
+    cfg.write_text(f"images = {img}\nsigmas = 10\nmethods = visu\n{key} = two\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run.csv")])
+    assert exc.value.code == f"bench run: {key} must be an integer, got 'two'"
+
+
 _GLIBC = sys.platform.startswith("linux") and platform.libc_ver()[0] == "glibc"
 
 # Run in a fresh interpreter, whose allocator has not yet been tuned by

@@ -1,4 +1,10 @@
-"""Bilateral filter: identities, Gaussian-blur limit, edge preservation."""
+"""Bilateral filter: identities, Gaussian-blur limit, edge preservation, lanes."""
+
+import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,3 +207,139 @@ def test_bit_identical_to_untiled_sum_narrow_widths(h, w, window, sigma_r, seed)
     params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * min(h, w) - 1))
     img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
+class _SpyPool:
+    """Stands in for the helper pool: records each lane and runs it on a thread."""
+
+    def __init__(self):
+        self.lanes = []
+        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=2)
+
+    def submit(self, fn, lane):
+        self.lanes.append(lane)
+        return self._pool.submit(fn, lane)
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    spy = _SpyPool()
+    monkeypatch.setattr(bilateral, "_helper_pool", lambda workers: spy)
+    yield spy
+    spy._pool.shutdown()
+
+
+def _strip_image(strips, seed=0):
+    # padded width 1024 at window 11 gives 32 rows per strip
+    rows = bilateral._STRIP_PIXELS // 1024
+    return np.random.default_rng(seed).uniform(0.0, 255.0, (rows * (strips - 1) + 7, 1014))
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("strips", [1, 2, 3, 5, 7])
+def test_lanes_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores, strips):
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = _strip_image(strips)
+    params = BilateralParams()
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+    # the caller runs lane 0; every other lane goes to the helpers
+    assert spy_pool.lanes == list(range(1, min(cores, strips)))
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_lanes_bit_identical_on_tall_narrow_image(monkeypatch, cores):
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = np.random.default_rng(3013).uniform(0.0, 255.0, (3000, 13))
+    params = BilateralParams(window=5)
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(1, 100),
+    st.integers(256, 1200),
+    st.sampled_from([1, 3, 5, 11]),
+    st.floats(1e-6, 100.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3]),
+)
+def test_lanes_bit_identical_to_untiled_sum_random_shapes(h, w, window, sigma_r, seed, cores):
+    params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * h - 1))
+    img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bilateral, "_cpu_count", lambda: cores)
+        got = bilateral_filter(img, params)
+    assert np.array_equal(got, _shifted_sum_oracle(img, params))
+
+
+def test_call_on_worker_thread_uses_one_lane(monkeypatch, spy_pool):
+    # a sweep's pool threads already fill the cores
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    img = _strip_image(3)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        got = pool.submit(bilateral_filter, img, BilateralParams()).result()
+    assert spy_pool.lanes == []
+    assert np.array_equal(got, bilateral_filter(img, BilateralParams()))
+    assert spy_pool.lanes == [1]
+
+
+def test_one_cpu_never_creates_the_pool(monkeypatch):
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(bilateral, "_helpers", None)
+    bilateral_filter(_strip_image(3), BilateralParams())
+    assert bilateral._helpers is None
+
+
+def test_helper_lane_error_reaches_the_caller(monkeypatch):
+    class FailingPool:
+        def submit(self, fn, lane):
+            future = concurrent.futures.Future()
+            future.set_exception(MemoryError(f"lane {lane}"))
+            return future
+
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(bilateral, "_helper_pool", lambda workers: FailingPool())
+    with pytest.raises(MemoryError, match="lane 1"):
+        bilateral_filter(_strip_image(2), BilateralParams())
+
+
+# After one main-thread call has started the helper pool, fork and filter in
+# the child; the alarm ends a child whose lanes never run.
+_FORK_SCRIPT = """
+import os, signal
+import numpy as np
+from denoisebench import bilateral
+bilateral._cpu_count = lambda: 2
+img = np.random.default_rng(0).uniform(0.0, 255.0, (200, 1014))
+want = bilateral.bilateral_filter(img, bilateral.BilateralParams())
+assert bilateral._helpers is not None
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)
+    got = bilateral.bilateral_filter(img, bilateral.BilateralParams())
+    os._exit(0 if np.array_equal(got, want) else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _run_python(code):
+    src = str(Path(bilateral.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_filters_with_its_own_helpers():
+    result = _run_python(_FORK_SCRIPT)
+    assert result.returncode == 0, result.stderr
+
+
+def test_import_starts_no_thread():
+    code = (
+        "import threading, denoisebench, denoisebench.cli, denoisebench.bilateral as b; "
+        "assert threading.active_count() == 1 and b._helpers is None"
+    )
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr

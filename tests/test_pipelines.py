@@ -1,8 +1,11 @@
 """End-to-end pipeline behavior: dispatch, invariants, near-identity cases."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
+from denoisebench import bilateral
 from denoisebench.metrics import psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
@@ -131,3 +134,17 @@ def test_bilateral_sigma_r_tracks_noise(texture):
     high = add_awgn(texture, NoiseModel(50.0, 8))
     cfg = MethodConfig(method="bilateral")
     assert np.std(denoise(high, cfg) - high) > np.std(denoise(low, cfg) - low)
+
+
+def test_mrbf_float_output_same_on_main_and_worker_thread(monkeypatch):
+    # main-thread bilateral passes split their row strips over helper lanes;
+    # a call on a worker thread runs them all itself.  The float output, not
+    # just its 8-bit rounding, must not depend on that.
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    clean = np.tile(texture_image(256), (1, 4))
+    image = add_awgn(clean, NoiseModel(sigma=25.0, seed=5))
+    config = MethodConfig(method="mrbf")
+    on_main = denoise(image, config)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        on_worker = pool.submit(denoise, image, config).result()
+    assert np.array_equal(on_main, on_worker)
