@@ -9,6 +9,13 @@ the key's UTF-8 bytes through SplitMix64::
 
 The final ``h`` is the trial seed.  Identical configs therefore produce
 byte-identical CSVs regardless of worker count.
+
+A serial sweep (``workers=1``) builds the next cell's noisy image on one
+helper thread while the calling thread denoises and scores the current
+cell.  The helper belongs to one ``run_benchmark`` call and is joined when
+it returns; a noise error still fails only its own cell.  This holds about
+one extra noisy image in memory.  With ``workers > 1`` each pool thread
+noises its own cells.
 """
 
 import concurrent.futures
@@ -115,12 +122,23 @@ def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, tria
     return h
 
 
+def _noisy(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
+           trial: int, config: BenchConfig) -> np.ndarray:
+    seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
+    return add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
+
+
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
-              trial: int, config: BenchConfig) -> BenchRow:
+              trial: int, config: BenchConfig,
+              noise: "concurrent.futures.Future | None" = None) -> BenchRow:
+    """Run one cell; `noise`, if given, is a pending `_noisy` call for it."""
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
     try:
-        noisy = add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
+        if noise is None:
+            noisy = add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
+        else:
+            noisy = noise.result()
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg, oracle_sigma=sigma)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
@@ -165,7 +183,15 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
     else:
-        rows = [_run_cell(*cell, config) for cell in cells]
+        # the helper noises cell i + 1 while this thread runs cell i
+        with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
+            rows = []
+            pending = helper.submit(_noisy, *cells[0], config)
+            for i, cell in enumerate(cells):
+                noise = pending
+                if i + 1 < len(cells):
+                    pending = helper.submit(_noisy, *cells[i + 1], config)
+                rows.append(_run_cell(*cell, config, noise))
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows
 

@@ -22,17 +22,17 @@ that untiled sum.
 
 Strips are independent, so a call made on the main thread spreads them over
 the k CPUs the process may use: lane i filters strips ``i, i + k, ...``,
-the calling thread runs lane 0, and lanes 1..k-1 run on a helper thread
-pool that is created on first use, never on import (a forked child creates
-its own).  numpy releases the GIL inside each ufunc, so the lanes run in
-parallel.  A call made on any other thread uses one lane:
-``bench run --workers N`` already fills the cores with one cell per pool
-thread, and nesting the helper pool under it made that sweep slower.  Each
-strip sees the same operations in the same order whichever lane runs it, so
-the output does not depend on k.  Extra memory is one padded copy of the
-image plus k sets of three buffers of one strip's lanes (``num``, ``den``,
-``buf``), allocated once per call on the calling thread, instead of about
-six full-image temporaries.
+the calling thread runs lane 0, and lanes 1..k-1 run on a pool of one
+helper thread per other CPU that is created on first use, never on import
+(a forked child creates its own).  numpy releases the GIL inside each
+ufunc, so the lanes run in parallel.  A call made on any other thread uses
+one lane: ``bench run --workers N`` already fills the cores with one cell
+per pool thread, and nesting the helper pool under it made that sweep
+slower.  Each strip sees the same operations in the same order whichever
+lane runs it, so the output does not depend on k.  Extra memory is one
+padded copy of the image plus k sets of three buffers of one strip's lanes
+(``num``, ``den``, ``buf``), allocated once per call on the calling thread,
+instead of about six full-image temporaries.
 """
 
 import concurrent.futures
@@ -59,10 +59,12 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _helper_pool(workers: int) -> "concurrent.futures.ThreadPoolExecutor":
+def _helper_pool() -> "concurrent.futures.ThreadPoolExecutor":
     global _helpers
     if _helpers is None:
-        _helpers = concurrent.futures.ThreadPoolExecutor(workers, thread_name_prefix="bilateral")
+        # sized for the widest call, not for the strips of the first one
+        _helpers = concurrent.futures.ThreadPoolExecutor(max(1, _cpu_count() - 1),
+                                                         thread_name_prefix="bilateral")
     return _helpers
 
 
@@ -144,7 +146,7 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
                 out=out[r0:r1],
             )
 
-    helpers = [_helper_pool(k - 1).submit(run_lane, lane) for lane in range(1, k)]
+    helpers = [_helper_pool().submit(run_lane, lane) for lane in range(1, k)]
     try:
         run_lane(0)
     finally:

@@ -30,9 +30,13 @@ def _check_pair(reference, test) -> tuple[np.ndarray, np.ndarray]:
 def mse_rmse_mae(reference, test) -> tuple[float, float, float]:
     """Pixel-averaged squared error, its root, and absolute error."""
     ref, tst = _check_pair(reference, test)
+    # one work array: |d| * |d| is exactly d * d, so squaring in place after
+    # taking the absolute value gives the same sums as two temporaries
     diff = tst - ref
-    mse = float(np.mean(diff**2))
-    mae = float(np.mean(np.abs(diff)))
+    np.abs(diff, out=diff)
+    mae = float(np.mean(diff))
+    np.square(diff, out=diff)
+    mse = float(np.mean(diff))
     return mse, math.sqrt(mse), mae
 
 
@@ -77,9 +81,13 @@ def uqi(reference, test) -> float:
         f, g = np.ldexp(f, shift), np.ldexp(g, shift)
         mf, mg = float(np.mean(f)), float(np.mean(g))
     n1 = f.size - 1
-    var_f = float(np.sum((f - mf) ** 2)) / n1
-    var_g = float(np.sum((g - mg) ** 2)) / n1
-    cov = float(np.sum((f - mf) * (g - mg))) / n1
+    # f - mf and g - mg are formed once each; two work arrays hold every term
+    df = f - mf
+    work = np.square(df)
+    var_f = float(np.sum(work)) / n1
+    dg = np.subtract(g, mg, out=work)
+    cov = float(np.sum(np.multiply(df, dg, out=df))) / n1
+    var_g = float(np.sum(np.square(dg, out=dg))) / n1
     if var_f == 0.0 and var_g == 0.0:
         return 1.0 if np.array_equal(f, g) else 0.0
     if var_f == 0.0 or var_g == 0.0 or (mf == 0.0 and mg == 0.0):

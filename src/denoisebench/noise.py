@@ -25,7 +25,9 @@ library, so last bits may differ between hosts (on one AVX-512 host, 756 of
 
 Because output i depends only on (seed, i), the uniforms are drawn as two
 contiguous runs, ``u_{2k}`` from outputs 0, 2, 4, ... and ``u_{2k+1}`` from
-outputs 1, 3, 5, ...; this changes no value.
+outputs 1, 3, 5, ...; this changes no value.  The field is filled in chunks
+of 16 Ki pairs, each drawing its own two runs, so the work arrays stay small
+whatever the image size; every deviate sees the same operations either way.
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,9 @@ __all__ = [
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+
+# Gaussian pairs per chunk of gaussian_field
+_CHUNK_PAIRS = 1 << 14
 
 # Standard Gaussian consistency constant for the median absolute deviation
 # (Phi^{-1}(3/4)).  Kept as a named constant so alternative conventions can
@@ -90,13 +95,13 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return z
 
 
-def _uniforms(seed: int, j: int, work: np.ndarray) -> np.ndarray:
-    """Uniforms u_{2k+j} for k < work.size (j is 0 or 1), as one contiguous run.
+def _uniforms(seed: int, j: int, k0: int, work: np.ndarray) -> np.ndarray:
+    """Uniforms u_{2k+j} for k0 <= k < k0 + work.size (j is 0 or 1), as one run.
 
     `work` is a float64 work array; its contents are lost.  The result
     reuses the memory of the run's counters.
     """
-    bits = np.arange(j + 1, 2 * work.size + 1, 2, dtype=np.uint64)
+    bits = np.arange(2 * k0 + j + 1, 2 * (k0 + work.size) + 1, 2, dtype=np.uint64)
     _splitmix64(seed, bits, work.view(np.uint64))
     bits >>= np.uint64(11)
     np.add(bits, 0.5, out=work)
@@ -109,20 +114,22 @@ def gaussian_field(seed: int, shape: tuple[int, int]) -> np.ndarray:
     """Standard-normal field of the given shape, filled in row-major order."""
     n = int(np.prod(shape))
     pairs = (n + 1) // 2
-    # row k of z holds deviates 2k and 2k+1, so z.ravel() is row-major order;
-    # until cos and sin fill z, its first half is the runs' work array
+    # row k of z holds deviates 2k and 2k+1, so z.ravel() is row-major order
     z = np.empty((pairs, 2))
-    work = z.ravel()[:pairs]
-    r = _uniforms(seed, 0, work)
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = _uniforms(seed, 1, work)
-    theta *= 2.0 * np.pi
-    np.cos(theta, out=z[:, 0])
-    np.sin(theta, out=z[:, 1])
-    z[:, 0] *= r
-    z[:, 1] *= r
+    for k0 in range(0, pairs, _CHUNK_PAIRS):
+        rows = z[k0 : k0 + _CHUNK_PAIRS]
+        # until cos and sin fill these rows, their first half is the runs' work array
+        work = rows.ravel()[: len(rows)]
+        r = _uniforms(seed, 0, k0, work)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = _uniforms(seed, 1, k0, work)
+        theta *= 2.0 * np.pi
+        np.cos(theta, out=rows[:, 0])
+        np.sin(theta, out=rows[:, 1])
+        rows[:, 0] *= r
+        rows[:, 1] *= r
     return z.ravel()[:n].reshape(shape)
 
 

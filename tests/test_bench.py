@@ -5,6 +5,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import denoisebench
+from denoisebench import bench
 from denoisebench.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -139,6 +141,56 @@ def test_failed_cell_yields_nan_row(tmp_path, capsys):
     assert len(rows) == 1
     assert math.isnan(rows[0].psnr_db)
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("failing", [0, 3, 7])
+def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing):
+    # the serial sweep noises the next cell on a helper thread; an error there
+    # must land in its own cell, first, middle or last
+    config = _tiny_config(tmp_path)
+    want = run_benchmark(config)
+    capsys.readouterr()
+    cells = [(s, m.method, t) for s in config.sigmas for m in config.methods
+             for t in range(1, config.trials + 1)]
+    sigma, method, trial = cells[failing]
+    bad_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
+    add_awgn = bench.add_awgn
+
+    def flaky_awgn(image, model):
+        if model.seed == bad_seed:
+            raise RuntimeError("no noise today")
+        return add_awgn(image, model)
+
+    monkeypatch.setattr(bench, "add_awgn", flaky_awgn)
+    got = run_benchmark(config)
+    assert capsys.readouterr().err == (
+        f"bench: cell (tex64, sigma={sigma:g}, {method}, trial {trial}) "
+        "failed: no noise today\n"
+    )
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if (g.sigma, g.method, g.trial) == (sigma, method, trial):
+            assert g.seed == bad_seed and math.isnan(g.psnr_db) and math.isnan(g.uqi)
+            assert (g.image_id, g.levels) == (w.image_id, w.levels)
+        else:
+            assert g == w
+
+
+def test_run_benchmark_leaves_no_thread_behind(tmp_path):
+    before = threading.active_count()
+    run_benchmark(_tiny_config(tmp_path))
+    run_benchmark(_tiny_config(tmp_path, workers=2))
+    assert threading.active_count() == before
+
+
+def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):
+    checker = tmp_path / "check64.pgm"
+    save_pgm(checkerboard_image(64, 8), checker)
+    config = _tiny_config(tmp_path)
+    paths = config.image_paths + (str(checker),)
+    serial = run_benchmark(_tiny_config(tmp_path, image_paths=paths))
+    assert {r.image_id for r in serial} == {"tex64", "check64"}
+    assert serial == run_benchmark(_tiny_config(tmp_path, image_paths=paths, workers=2))
 
 
 def test_summarize_means():

@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -224,7 +225,7 @@ class _SpyPool:
 @pytest.fixture
 def spy_pool(monkeypatch):
     spy = _SpyPool()
-    monkeypatch.setattr(bilateral, "_helper_pool", lambda workers: spy)
+    monkeypatch.setattr(bilateral, "_helper_pool", lambda: spy)
     yield spy
     spy._pool.shutdown()
 
@@ -283,6 +284,39 @@ def test_call_on_worker_thread_uses_one_lane(monkeypatch, spy_pool):
     assert spy_pool.lanes == [1]
 
 
+def test_pool_sized_for_every_cpu_not_the_first_call(monkeypatch):
+    # a first call with 2 strips must not leave later 3-lane calls one helper thread
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(bilateral, "_helpers", None)
+    threads = {}
+    meet = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, lane):
+            def run(lane):
+                threads[lane] = threading.get_ident()
+                if meet:
+                    # both helper lanes must be running at once
+                    meet[0].wait()
+                fn(lane)
+            return super().submit(run, lane)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    params = BilateralParams(window=3)
+    # padded width 256 at window 3 gives 128 rows per strip
+    two, three = (np.random.default_rng(s).uniform(0.0, 255.0, (h, 254))
+                  for s, h in ((0, 256), (1, 384)))
+    try:
+        assert np.array_equal(bilateral_filter(two, params), _shifted_sum_oracle(two, params))
+        assert list(threads) == [1]
+        meet.append(threading.Barrier(2, timeout=10))
+        assert np.array_equal(bilateral_filter(three, params), _shifted_sum_oracle(three, params))
+    finally:
+        if bilateral._helpers is not None:
+            bilateral._helpers.shutdown()
+    assert sorted(threads) == [1, 2] and threads[1] != threads[2]
+
+
 def test_one_cpu_never_creates_the_pool(monkeypatch):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 1)
     monkeypatch.setattr(bilateral, "_helpers", None)
@@ -298,7 +332,7 @@ def test_helper_lane_error_reaches_the_caller(monkeypatch):
             return future
 
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(bilateral, "_helper_pool", lambda workers: FailingPool())
+    monkeypatch.setattr(bilateral, "_helper_pool", lambda: FailingPool())
     with pytest.raises(MemoryError, match="lane 1"):
         bilateral_filter(_strip_image(2), BilateralParams())
 

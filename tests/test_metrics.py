@@ -153,3 +153,39 @@ def test_uqi_scale_invariant_near_zero():
 def test_uqi_self_is_one(f):
     if f.std() > 0:
         assert uqi(f, f) == pytest.approx(1.0)
+
+
+def _uqi_three_pass(f, g):
+    """The index with `f - mf` and `g - mg` formed once per sum, as before."""
+    f, g = f.ravel(), g.ravel()
+    mf, mg = float(np.mean(f)), float(np.mean(g))
+    if max(abs(mf), abs(mg)) < 2.0**-100:
+        shift = -math.frexp(max(float(np.max(np.abs(f))), float(np.max(np.abs(g)))))[1]
+        f, g = np.ldexp(f, shift), np.ldexp(g, shift)
+        mf, mg = float(np.mean(f)), float(np.mean(g))
+    n1 = f.size - 1
+    var_f = float(np.sum((f - mf) ** 2)) / n1
+    var_g = float(np.sum((g - mg) ** 2)) / n1
+    cov = float(np.sum((f - mf) * (g - mg))) / n1
+    return 4.0 * cov * mf * mg / ((var_f + var_g) * (mf**2 + mg**2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**-1000])
+@pytest.mark.parametrize("shape", [(7, 9), (64, 64), (257, 130)])
+def test_uqi_bit_identical_to_three_pass_formula(shape, scale):
+    # scale 2^-1000 takes the tiny-mean rescale path
+    rng = np.random.default_rng(shape[0])
+    for _ in range(3):
+        f, g = rng.uniform(0.0, 255.0, (2, *shape)) * scale
+        assert uqi(f, g) == _uqi_three_pass(f, g)
+
+
+@pytest.mark.parametrize("shape", [(7, 9), (64, 64), (257, 130)])
+def test_mse_mae_bit_identical_to_two_temporaries(shape):
+    # squaring |d| in place must give exactly the sums of d**2 and |d|
+    rng = np.random.default_rng(shape[1])
+    ref, test = rng.uniform(-40.0, 300.0, (2, *shape))
+    diff = test - ref
+    assert mse_rmse_mae(ref, test) == (
+        float(np.mean(diff**2)), math.sqrt(float(np.mean(diff**2))), float(np.mean(np.abs(diff)))
+    )
