@@ -13,9 +13,10 @@ byte-identical CSVs regardless of worker count.
 A serial sweep (``workers=1``) builds the next cell's noisy image on one
 helper thread while the calling thread denoises and scores the current
 cell.  The helper belongs to one ``run_benchmark`` call and is joined when
-it returns; a noise error still fails only its own cell.  This holds about
-one extra noisy image in memory.  With ``workers > 1`` each pool thread
-noises its own cells.
+it returns; a noise error still fails only its own cell.  The calling thread
+allocates each noisy image and the helper fills it, so the sweep holds about
+one extra noisy image in memory and the helper's heap stays small.  With
+``workers > 1`` each pool thread noises its own cells.
 """
 
 import concurrent.futures
@@ -122,10 +123,9 @@ def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, tria
     return h
 
 
-def _noisy(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
-           trial: int, config: BenchConfig) -> np.ndarray:
-    seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
-    return add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
+def _noisy(clean: np.ndarray, sigma: float, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The noisy image of one cell; every cell's noise is made here."""
+    return add_awgn(clean, NoiseModel(sigma=sigma, seed=seed), out)
 
 
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
@@ -135,10 +135,7 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
     try:
-        if noise is None:
-            noisy = add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
-        else:
-            noisy = noise.result()
+        noisy = _noisy(clean, sigma, seed) if noise is None else noise.result()
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg, oracle_sigma=sigma)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
@@ -184,13 +181,18 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
             rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
     else:
         # the helper noises cell i + 1 while this thread runs cell i
+        def prefetch(image_id, clean, sigma, mcfg, trial):
+            out = np.empty(np.shape(clean))
+            return helper.submit(lambda: _noisy(clean, sigma, derive_seed(
+                config.master_seed, image_id, sigma, mcfg.method, trial), out))
+
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
             rows = []
-            pending = helper.submit(_noisy, *cells[0], config)
+            pending = prefetch(*cells[0])
             for i, cell in enumerate(cells):
                 noise = pending
                 if i + 1 < len(cells):
-                    pending = helper.submit(_noisy, *cells[i + 1], config)
+                    pending = prefetch(*cells[i + 1])
                 rows.append(_run_cell(*cell, config, noise))
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows

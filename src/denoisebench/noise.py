@@ -28,6 +28,8 @@ contiguous runs, ``u_{2k}`` from outputs 0, 2, 4, ... and ``u_{2k+1}`` from
 outputs 1, 3, 5, ...; this changes no value.  The field is filled in chunks
 of 16 Ki pairs, each drawing its own two runs, so the work arrays stay small
 whatever the image size; every deviate sees the same operations either way.
+The field can be written into an array the caller allocated (``out``), so a
+thread that only generates noise holds no image-sized memory of its own.
 """
 
 from dataclasses import dataclass
@@ -110,14 +112,23 @@ def _uniforms(seed: int, j: int, k0: int, work: np.ndarray) -> np.ndarray:
     return u
 
 
-def gaussian_field(seed: int, shape: tuple[int, int]) -> np.ndarray:
-    """Standard-normal field of the given shape, filled in row-major order."""
-    n = int(np.prod(shape))
-    pairs = (n + 1) // 2
-    # row k of z holds deviates 2k and 2k+1, so z.ravel() is row-major order
-    z = np.empty((pairs, 2))
-    for k0 in range(0, pairs, _CHUNK_PAIRS):
-        rows = z[k0 : k0 + _CHUNK_PAIRS]
+def gaussian_field(seed: int, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal field of the given shape, filled in row-major order.
+
+    `out`, if given, is a C-contiguous float64 array of that shape; the field
+    is written there and `out` is returned.
+    """
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
+    flat = out.reshape(-1)
+    for k0 in range(0, (flat.size + 1) // 2, _CHUNK_PAIRS):
+        dest = flat[2 * k0 : 2 * (k0 + _CHUNK_PAIRS)]
+        # row k of `rows` holds deviates 2k and 2k+1; an odd last deviate is
+        # paired in a spare array and copied out
+        odd = dest.size % 2
+        rows = np.empty((dest.size // 2 + 1, 2)) if odd else dest.reshape(-1, 2)
         # until cos and sin fill these rows, their first half is the runs' work array
         work = rows.ravel()[: len(rows)]
         r = _uniforms(seed, 0, k0, work)
@@ -130,13 +141,18 @@ def gaussian_field(seed: int, shape: tuple[int, int]) -> np.ndarray:
         np.sin(theta, out=rows[:, 1])
         rows[:, 0] *= r
         rows[:, 1] *= r
-    return z.ravel()[:n].reshape(shape)
+        if odd:
+            dest[:] = rows.ravel()[: dest.size]
+    return out
 
 
-def add_awgn(image, model: NoiseModel) -> np.ndarray:
-    """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped."""
+def add_awgn(image, model: NoiseModel, out: np.ndarray | None = None) -> np.ndarray:
+    """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped.
+
+    `out`, if given, receives the noisy image as in :func:`gaussian_field`.
+    """
     img = as_image(image)
-    noisy = gaussian_field(model.seed, img.shape)
+    noisy = gaussian_field(model.seed, img.shape, out)
     noisy *= model.sigma
     noisy += img
     return noisy

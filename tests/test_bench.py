@@ -156,10 +156,10 @@ def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing)
     bad_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
     add_awgn = bench.add_awgn
 
-    def flaky_awgn(image, model):
+    def flaky_awgn(image, model, out=None):
         if model.seed == bad_seed:
             raise RuntimeError("no noise today")
-        return add_awgn(image, model)
+        return add_awgn(image, model, out)
 
     monkeypatch.setattr(bench, "add_awgn", flaky_awgn)
     got = run_benchmark(config)

@@ -77,6 +77,24 @@ def test_gaussian_field_matches_oracle(seed, shape):
     assert np.array_equal(z, _gaussian_field_oracle(seed, shape))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (300, 301), (257, 513)])
+def test_noise_into_out_matches_fresh_arrays(shape):
+    out = np.full(shape, np.nan)
+    assert gaussian_field(7, shape, out) is out
+    assert np.array_equal(out, gaussian_field(7, shape))
+    img = np.linspace(0.0, 255.0, out.size).reshape(shape)
+    model = NoiseModel(sigma=20.0, seed=2**64 - 1)
+    assert add_awgn(img, model, out) is out
+    assert np.array_equal(out, add_awgn(img, model))
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 4)), np.empty((4, 3), np.float32),
+                                 np.empty((4, 6))[:, ::2]])
+def test_gaussian_field_rejects_unfit_out(out):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+        gaussian_field(1, (4, 3), out)
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2**64 - 1), array_shapes(min_dims=2, max_dims=2, max_side=40))
 def test_gaussian_field_matches_oracle_random(seed, shape):
