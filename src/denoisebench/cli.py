@@ -76,15 +76,21 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 
 def _collect_images(spec: str) -> list[str]:
+    """Image paths of a comma-separated list; a directory gives its ``*.pgm`` files."""
     paths: list[str] = []
     for item in spec.split(","):
-        p = Path(item.strip())
+        item = item.strip()
+        if not item:
+            # Path("") is the current directory, which would add its images
+            raise ValueError(f"empty entry in image list {spec!r}")
+        p = Path(item)
         if p.is_dir():
-            paths.extend(sorted(str(f) for f in p.glob("*.pgm")))
+            found = sorted(str(f) for f in p.glob("*.pgm"))
+            if not found:
+                raise ValueError(f"no *.pgm images in directory {str(p)!r}")
+            paths.extend(found)
         else:
             paths.append(str(p))
-    if not paths:
-        raise SystemExit(f"bench: no images found in {spec!r}")
     return paths
 
 

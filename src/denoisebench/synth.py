@@ -26,12 +26,18 @@ def checkerboard_image(size: int = 128, cell: int = 8, lo: float = 64.0, hi: flo
 
 
 def _box_blur(field: np.ndarray, passes: int) -> np.ndarray:
-    """Repeated periodic 3x3 box blur."""
+    """Repeated periodic 3x3 box blur.
+
+    Each pass wraps the field in a one-pixel periodic border and sums the
+    nine shifted views, shift (dy, dx) being ``np.roll(field, (dy, dx), (0, 1))``.
+    """
+    h, w = field.shape
     for _ in range(passes):
+        padded = np.pad(field, 1, mode="wrap")
         acc = np.zeros_like(field)
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
-                acc += np.roll(np.roll(field, dy, axis=0), dx, axis=1)
+                acc += padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
         field = acc / 9.0
     return field
 
@@ -78,7 +84,9 @@ def texture_image(
     texture = _octave_stack(size, seed, weights)
     texture /= texture.std()
     layout = _smooth_field(size, seed + 50, 5) + 0.5 * _smooth_field(size, seed + 51, 4)
-    ranks = layout.argsort(axis=None).argsort().reshape(layout.shape) / layout.size
+    ranks = np.empty(layout.size, dtype=np.intp)
+    ranks[layout.argsort(axis=None)] = np.arange(layout.size)
+    ranks = ranks.reshape(layout.shape) / layout.size
     plateaus = np.floor(ranks * regions) / (regions - 1) - 0.5  # in [-0.5, 0.5]
     field = texture + edge_strength * plateaus * 6.0
     lo, hi = field.min(), field.max()

@@ -53,6 +53,10 @@ def dwt2_haar(grid) -> SubBands:
 
     Per 2x2 block [[a, b], [c, d]]: ll = (a+b+c+d)/2, hl = (a-b+c-d)/2,
     lh = (a+b-c-d)/2, hh = (a-b-c+d)/2.  Energy is preserved.
+
+    Each sum is taken left to right, so ``a+b`` and ``a-b`` are formed once
+    and every band is finished in place from one of them.  c and d, which
+    each band reads, are first gathered into contiguous planes.
     """
     x = np.asarray(grid, dtype=np.float64)
     h, w = x.shape
@@ -60,25 +64,55 @@ def dwt2_haar(grid) -> SubBands:
         raise ValueError(f"dimensions must be even, got {h}x{w}")
     a = x[0::2, 0::2]
     b = x[0::2, 1::2]
-    c = x[1::2, 0::2]
-    d = x[1::2, 1::2]
-    return SubBands(
-        ll=(a + b + c + d) / 2.0,
-        hl=(a - b + c - d) / 2.0,
-        lh=(a + b - c - d) / 2.0,
-        hh=(a - b - c + d) / 2.0,
-    )
+    c, d = x[1::2].reshape(h // 2, w // 2, 2).transpose(2, 0, 1).copy()
+    lh = a + b
+    hh = a - b
+    ll = lh + c
+    ll += d
+    ll /= 2.0
+    hl = hh + c
+    hl -= d
+    hl /= 2.0
+    lh -= c
+    lh -= d
+    lh /= 2.0
+    hh -= c
+    hh += d
+    hh /= 2.0
+    return SubBands(ll=ll, lh=lh, hl=hl, hh=hh)
 
 
 def idwt2_haar(bands: SubBands) -> np.ndarray:
-    """Exact inverse of :func:`dwt2_haar`."""
-    ll, hl, lh, hh = bands.ll, bands.hl, bands.lh, bands.hh
+    """Exact inverse of :func:`dwt2_haar`.
+
+    Per block: a = (ll+hl+lh+hh)/2, b = (ll-hl+lh-hh)/2, c = (ll+hl-lh-hh)/2,
+    d = (ll-hl-lh+hh)/2, each sum taken left to right from a shared
+    ``ll+hl`` or ``ll-hl``.
+    """
+    ll, hl, lh, hh = (
+        np.asarray(band, dtype=np.float64) for band in (bands.ll, bands.hl, bands.lh, bands.hh)
+    )
     h, w = ll.shape
     out = np.empty((2 * h, 2 * w))
-    out[0::2, 0::2] = (ll + hl + lh + hh) / 2.0
-    out[0::2, 1::2] = (ll - hl + lh - hh) / 2.0
-    out[1::2, 0::2] = (ll + hl - lh - hh) / 2.0
-    out[1::2, 1::2] = (ll - hl - lh + hh) / 2.0
+    plus = ll + hl
+    minus = ll - hl
+    # the top row of each block goes through one contiguous scratch band
+    top = plus + lh
+    top += hh
+    top /= 2.0
+    out[0::2, 0::2] = top
+    np.add(minus, lh, out=top)
+    top -= hh
+    top /= 2.0
+    out[0::2, 1::2] = top
+    plus -= lh
+    plus -= hh
+    plus /= 2.0
+    out[1::2, 0::2] = plus
+    minus -= lh
+    minus += hh
+    minus /= 2.0
+    out[1::2, 1::2] = minus
     return out
 
 

@@ -363,6 +363,27 @@ def test_cli_run_reports_unreadable_image_in_one_line(tmp_path, make_image, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("{img},{empty}", "no *.pgm images in directory {empty!r}"),
+    ("{img},", "empty entry in image list '{img},'"),
+    ("{img},,{img}", "empty entry in image list '{img},,{img}'"),
+], ids=["empty-dir", "trailing-comma", "double-comma"])
+def test_cli_run_rejects_image_list_entry_without_images(tmp_path, monkeypatch, spec, message):
+    img = tmp_path / "a.pgm"
+    save_pgm(texture_image(64), img)
+    save_pgm(texture_image(64, seed=1), tmp_path / "b.pgm")
+    empty = tmp_path / "emptydir"
+    empty.mkdir()
+    monkeypatch.chdir(tmp_path)  # an empty entry must not pick up b.pgm from here
+    names = {"img": str(img), "empty": str(empty)}
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--images", spec.format(**names), "--sigmas", "10", "--methods", "visu",
+                  "--trials", "1", "--levels", "2", "--out", str(out)])
+    assert exc.value.code == "bench run: " + message.format(**names)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("make_image, message", _UNREADABLE_IMAGES)
 def test_cli_denoise_reports_unreadable_image_in_one_line(tmp_path, make_image, message):
     out = tmp_path / "out.pgm"
@@ -384,6 +405,34 @@ def test_unreadable_image_exits_with_status_1(tmp_path):
     )
     assert result.returncode == 1
     assert result.stderr.startswith("bench denoise: ") and result.stderr.count("\n") == 1
+
+
+_THIRD_PARTY_CHECK = """
+import sys
+before = set(sys.modules)
+from denoisebench.cli import main
+d = sys.argv[1]
+assert main(["synth", "--out", d]) == 0
+assert main(["run", "--images", d + "/gradient128.pgm", "--sigmas", "10",
+             "--methods", "visu,mrbf", "--trials", "1", "--levels", "2",
+             "--out", d + "/run.csv", "--no-runtime"]) == 0
+assert main(["denoise", "--in", d + "/checker128.pgm", "--method", "mrbf",
+             "--out", d + "/out.pgm"]) == 0
+tops = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(tops - sys.stdlib_module_names - {"denoisebench", "numpy"})))
+"""
+
+
+def test_cli_imports_no_third_party_module_but_numpy(tmp_path):
+    # scipy and hypothesis are installed for the tests; the package must not need them
+    src = str(Path(denoisebench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _THIRD_PARTY_CHECK, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == ""
 
 
 def test_config_rejects_bad_workers_and_sigmas(tmp_path):

@@ -179,6 +179,55 @@ def test_mad_constant_value():
     assert MAD_GAUSSIAN_CONSISTENCY == 0.6745
 
 
+def _mad_oracle(coeffs):
+    """The np.median formula the partition-based estimate must reproduce exactly."""
+    return float(np.median(np.abs(np.asarray(coeffs, dtype=np.float64))) / MAD_GAUSSIAN_CONSISTENCY)
+
+
+def _mad_cases():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 4, 7, 8, 255, 256, 1023, 4096):
+        yield rng.normal(0.0, 10.0, n)
+        yield rng.integers(-3, 4, n).astype(np.float64)  # heavy ties
+        sparse = rng.normal(0.0, 10.0, n)
+        sparse[rng.random(n) < 0.8] = 0.0  # a band soft thresholding mostly zeroed
+        yield sparse
+        signed = rng.normal(0.0, 1.0, n)
+        signed[rng.random(n) < 0.5] = -0.0
+        yield signed
+        spiky = rng.normal(0.0, 1.0, n)
+        spiky[rng.random(n) < 0.3] = np.inf
+        spiky[rng.random(n) < 0.2] = -np.inf
+        yield spiky
+        yield rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-320, 300, n)  # subnormal to huge
+    yield np.zeros(6)
+    yield np.full(5, -0.0)
+    yield np.array([np.inf, -np.inf])
+    yield rng.normal(0.0, 10.0, (64, 48))
+
+
+def test_mad_equals_median_formula_exactly():
+    for coeffs in _mad_cases():
+        assert estimate_noise_mad(coeffs) == _mad_oracle(coeffs), coeffs.shape
+
+
+def test_mad_nan_gives_nan():
+    for n in (1, 2, 7, 8, 256):
+        coeffs = np.random.default_rng(n).normal(0.0, 10.0, n)
+        coeffs[n // 3] = np.nan
+        assert np.isnan(estimate_noise_mad(coeffs))
+
+
+def test_mad_of_view_leaves_caller_array_alone():
+    grid = np.random.default_rng(4).normal(0.0, 10.0, (64, 64))
+    grid[::3, ::5] = 0.0
+    before = grid.copy()
+    for view in (grid[::2, 1::2], grid.T, grid[5:37, 3:60]):
+        assert not view.flags.c_contiguous
+        assert estimate_noise_mad(view) == _mad_oracle(view)
+    np.testing.assert_array_equal(grid, before)
+
+
 def test_mad_on_finest_diagonal_band_of_pure_noise():
     estimates = []
     for seed in range(10):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from denoisebench import synth
 from denoisebench.synth import (
     checkerboard_image,
     default_set,
@@ -26,6 +27,26 @@ def test_checkerboard_values():
     assert img[0, 0] == 64.0
     assert img[0, 8] == 192.0
     assert img[8, 8] == 64.0
+
+
+def _box_blur_oracle(field, passes):
+    """Nine np.roll copies per pass: the reference for synth._box_blur."""
+    for _ in range(passes):
+        acc = np.zeros_like(field)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                acc += np.roll(np.roll(field, dy, axis=0), dx, axis=1)
+        field = acc / 9.0
+    return field
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 7), (64, 64), (128, 96)])
+@pytest.mark.parametrize("passes", [1, 2, 3])
+def test_box_blur_equals_roll_oracle_exactly(shape, passes):
+    field = np.random.default_rng(shape[0] * passes).normal(0.0, 1.0, shape)
+    before = field.copy()
+    np.testing.assert_array_equal(synth._box_blur(field, passes), _box_blur_oracle(field, passes))
+    np.testing.assert_array_equal(field, before)
 
 
 def test_texture_is_deterministic_and_bounded():

@@ -16,6 +16,70 @@ from denoisebench.wavelet import (
 )
 
 
+def _dwt2_haar_oracle(grid):
+    """Four independent expressions per band: the reference for dwt2_haar."""
+    x = np.asarray(grid, dtype=np.float64)
+    a, b = x[0::2, 0::2], x[0::2, 1::2]
+    c, d = x[1::2, 0::2], x[1::2, 1::2]
+    return SubBands(
+        ll=(a + b + c + d) / 2.0,
+        hl=(a - b + c - d) / 2.0,
+        lh=(a + b - c - d) / 2.0,
+        hh=(a - b - c + d) / 2.0,
+    )
+
+
+def _idwt2_haar_oracle(bands):
+    """Four independent expressions per output phase: the reference for idwt2_haar."""
+    ll, hl, lh, hh = bands.ll, bands.hl, bands.lh, bands.hh
+    h, w = ll.shape
+    out = np.empty((2 * h, 2 * w))
+    out[0::2, 0::2] = (ll + hl + lh + hh) / 2.0
+    out[0::2, 1::2] = (ll - hl + lh - hh) / 2.0
+    out[1::2, 0::2] = (ll + hl - lh - hh) / 2.0
+    out[1::2, 1::2] = (ll - hl - lh + hh) / 2.0
+    return out
+
+
+def _haar_grids():
+    rng = np.random.default_rng(12)
+    for shape in ((2, 2), (4, 6), (64, 64), (128, 96), (512, 512)):
+        yield rng.uniform(0.0, 255.0, shape)
+        yield rng.normal(0.0, 1e3, shape)
+        yield rng.integers(0, 256, shape)
+        yield rng.integers(-5, 6, shape).astype(np.float64)
+    big = rng.normal(0.0, 50.0, (130, 140))
+    yield big[1:129, 2:138]
+    yield big[::2, ::2][:64, :64]
+    yield big.T[3:131, :128]
+
+
+def test_haar_transforms_equal_oracles_exactly():
+    for grid in _haar_grids():
+        before = np.array(grid, copy=True)
+        got = dwt2_haar(grid)
+        want = _dwt2_haar_oracle(grid)
+        for band in ("ll", "lh", "hl", "hh"):
+            np.testing.assert_array_equal(getattr(got, band), getattr(want, band), strict=True)
+        np.testing.assert_array_equal(grid, before, strict=True)
+        np.testing.assert_array_equal(idwt2_haar(got), _idwt2_haar_oracle(want), strict=True)
+
+
+def test_idwt_equals_oracle_on_band_views_and_leaves_them_alone():
+    rng = np.random.default_rng(13)
+    bands = SubBands(*(rng.normal(0.0, 20.0, (40, 50))[3:35, 5:45].T for _ in range(4)))
+    before = [b.copy() for b in (bands.ll, bands.lh, bands.hl, bands.hh)]
+    np.testing.assert_array_equal(idwt2_haar(bands), _idwt2_haar_oracle(bands), strict=True)
+    for b, old in zip((bands.ll, bands.lh, bands.hl, bands.hh), before, strict=True):
+        np.testing.assert_array_equal(b, old)
+
+
+def test_idwt_accepts_integer_bands():
+    rng = np.random.default_rng(14)
+    bands = SubBands(*(rng.integers(-300, 300, (8, 6)) for _ in range(4)))
+    np.testing.assert_array_equal(idwt2_haar(bands), _idwt2_haar_oracle(bands), strict=True)
+
+
 def test_dwt_hand_example():
     bands = dwt2_haar(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert bands.ll[0, 0] == 5.0
