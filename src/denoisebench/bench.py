@@ -59,7 +59,6 @@ class BenchConfig:
     methods: tuple[MethodConfig, ...] = ()
     trials: int = 5
     master_seed: int = 0
-    output_path: str = "bench.csv"
     save_images_dir: str | None = None
     metrics_mode: str = "clamped"
     workers: int = 1

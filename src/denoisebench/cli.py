@@ -130,7 +130,6 @@ def _cmd_run(args) -> int:
             methods=tuple(MethodConfig(method=m, levels=levels) for m in method_names),
             trials=trials,
             master_seed=seed,
-            output_path=out,
             save_images_dir=save_images,
             metrics_mode=metrics_mode,
             workers=workers,
@@ -166,8 +165,8 @@ def _cmd_denoise(args) -> int:
         raise SystemExit("bench denoise: --sigma-mode oracle needs --sigma")
     if args.sigma_mode != "oracle" and args.sigma is not None:
         raise SystemExit("bench denoise: --sigma needs --sigma-mode oracle")
-    if args.sigma is not None and not args.sigma > 0:
-        raise SystemExit(f"bench denoise: --sigma must be positive, got {args.sigma:g}")
+    if args.sigma is not None and not 0 < args.sigma < math.inf:
+        raise SystemExit(f"bench denoise: --sigma must be finite and positive, got {args.sigma:g}")
     name = _METHOD_ALIASES.get(args.method, args.method)
     if name not in METHODS:
         raise SystemExit(f"bench: unknown method {args.method!r}")

@@ -6,7 +6,8 @@ collaborative (BayesShrink then bilateral) method and the multiresolution
 bilateral filter.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,9 +24,12 @@ from denoisebench.shrinkage import (
 )
 from denoisebench.wavelet import Pyramid, SubBands, decompose, dwt2_haar, idwt2_haar, reconstruct
 
-__all__ = ["MethodConfig", "METHODS", "denoise", "bilateral_pass", "collaborative", "mrbf"]
+__all__ = ["MethodConfig", "METHODS", "denoise", "collaborative", "mrbf"]
 
 METHODS = ("visu", "sure", "bayes", "neigh", "bilateral", "collaborative", "mrbf")
+
+# spatial settings of every bilateral pass; sigma_r is set per pass from the noise
+_BILATERAL = BilateralParams(sigma_d=1.8, window=11)
 
 
 @dataclass(frozen=True)
@@ -34,18 +38,13 @@ class MethodConfig:
 
     method: str = "bayes"
     levels: int = 3
-    bilateral_params: BilateralParams = field(default_factory=BilateralParams)
-    neigh_window: int = 3
     sigma_mode: str = "estimated"  # "estimated" | "oracle"
-    mrbf_every_level: bool = True  # bilateral every approximation vs full-res only
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 1 <= self.levels <= 6:
             raise ValueError("levels must be in [1, 6]")
-        if self.neigh_window < 1 or self.neigh_window % 2 == 0:
-            raise ValueError("neigh_window must be odd and positive")
         if self.sigma_mode not in ("estimated", "oracle"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
 
@@ -59,36 +58,38 @@ def _sigma(oracle: bool, oracle_sigma, grid=None, hh=None) -> float:
     if oracle:
         if oracle_sigma is None:
             raise ValueError("sigma_mode='oracle' requires oracle_sigma")
-        return float(oracle_sigma)
+        sigma = float(oracle_sigma)
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"oracle_sigma must be finite and non-negative, got {sigma:g}")
+        return sigma
     if hh is None:
         h, w = grid.shape
         hh = dwt2_haar(grid[: h - h % 2, : w - w % 2]).hh
     return estimate_noise_mad(hh)
 
 
-# One detail-band shrinker per wavelet method, (band, sigma, config) -> band:
+# One detail-band shrinker per wavelet method, (band, sigma) -> band:
 # Visu hard, Sure and Bayes soft, Neigh its own factor.  The entries call the
 # shrinkage functions through this module's globals, so a wrapper rebound over
 # them at run time is still reached.
 _SHRINKERS = {
-    "visu": lambda band, sigma, config: apply_threshold(
+    "visu": lambda band, sigma: apply_threshold(
         band, ThresholdRule("hard", visu_threshold(sigma, band.size))),
-    "sure": lambda band, sigma, config: band.copy() if sigma == 0 else apply_threshold(
+    "sure": lambda band, sigma: band.copy() if sigma == 0 else apply_threshold(
         band, ThresholdRule("soft", sure_threshold(band, sigma))),
-    "bayes": lambda band, sigma, config: apply_threshold(
+    "bayes": lambda band, sigma: apply_threshold(
         band, ThresholdRule("soft", bayes_threshold(band_stats(band, sigma)))),
-    "neigh": lambda band, sigma, config: neigh_shrink(
-        band, visu_threshold(sigma, band.size), config.neigh_window),
+    "neigh": lambda band, sigma: neigh_shrink(band, visu_threshold(sigma, band.size)),
 }
 
 
-def _shrink_level(level: int, details, sigma: float, shrink, config: MethodConfig, band_log):
+def _shrink_level(level: int, details, sigma: float, shrink, band_log):
     """Shrink one level's (lh, hl, hh) bands; `band_log` records each (level, band)."""
     shrunk = []
     for name, band in zip(("lh", "hl", "hh"), details):
         if band_log is not None:
             band_log.append((level, name))
-        shrunk.append(shrink(band, sigma, config))
+        shrunk.append(shrink(band, sigma))
     return tuple(shrunk)
 
 
@@ -101,8 +102,7 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band
     img = np.asarray(image, dtype=np.float64)
     oracle = config.sigma_mode == "oracle"
     if config.method == "bilateral":
-        sigma = _sigma(oracle, oracle_sigma, grid=img)
-        return bilateral_filter(img, _range_params(config.bilateral_params, sigma))
+        return bilateral_pass(img, _sigma(oracle, oracle_sigma, grid=img))
     if config.method == "collaborative":
         return collaborative(img, config, oracle_sigma, band_log=band_log)
     if config.method == "mrbf":
@@ -111,23 +111,20 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band
     sigma = _sigma(oracle, oracle_sigma, hh=pyramid.levels[0][2])
     shrink = _SHRINKERS[config.method]
     levels = tuple(
-        _shrink_level(k, details, sigma, shrink, config, band_log)
+        _shrink_level(k, details, sigma, shrink, band_log)
         for k, details in enumerate(pyramid.levels, start=1)
     )
     return reconstruct(Pyramid(levels, pyramid.top_ll, pyramid.original_shape))
 
 
-def _range_params(params: BilateralParams, sigma: float) -> BilateralParams:
-    """`params` with sigma_r = 2 * noise std, floored at 1e-6."""
-    return replace(params, sigma_r=max(2.0 * sigma, 1e-6))
+def bilateral_pass(grid, sigma: float) -> np.ndarray:
+    """One bilateral pass for noise std `sigma`.
 
-
-def bilateral_pass(grid, sigma: float, params: BilateralParams) -> np.ndarray:
-    """One MRBF bilateral pass: sigma_r = 2 * sigma, window shrunk to fit `grid`."""
-    params = _range_params(params, sigma)
-    if params.window > 2 * min(grid.shape) - 1:
-        params = replace(params, window=max(2 * min(grid.shape) - 1, 1) | 1)
-    return bilateral_filter(grid, params)
+    sigma_r = 2 * sigma, floored at 1e-6; the window shrinks to the largest
+    odd side that fits `grid` (2 * shorter side - 1) when 11 does not.
+    """
+    window = min(_BILATERAL.window, max(2 * min(grid.shape) - 1, 1))
+    return bilateral_filter(grid, replace(_BILATERAL, sigma_r=max(2.0 * sigma, 1e-6), window=window))
 
 
 def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
@@ -137,8 +134,7 @@ def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None
     the Bayes output.
     """
     stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma, band_log=band_log)
-    sigma = _sigma(False, None, grid=stage1)
-    return bilateral_filter(stage1, _range_params(config.bilateral_params, sigma))
+    return bilateral_pass(stage1, _sigma(False, None, grid=stage1))
 
 
 def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
@@ -147,9 +143,8 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
     Recursion over `levels`: bilateral-filter the current approximation (the
     full-resolution image at level 1), then split it, BayesShrink the detail
     bands and recurse on LL; the coarsest LL gets one more bilateral pass.
-    With `mrbf_every_level` off only the full-resolution approximation is
-    filtered.  The noise level is re-estimated per level from that level's
-    diagonal band; sigma_r = 2 * estimate.
+    The noise level is re-estimated per level from that level's diagonal
+    band; sigma_r = 2 * estimate.
 
     Filtering the approximation before the split (rather than after
     reconstruction) matters: post-reconstruction passes smooth detail that
@@ -163,15 +158,13 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
     oracle = config.sigma_mode == "oracle"
 
     def recurse(grid, level):
-        if config.mrbf_every_level or level == 1:
-            pre_sigma = _sigma(oracle and level == 1, oracle_sigma, grid=grid)
-            grid = bilateral_pass(grid, pre_sigma, config.bilateral_params)
+        grid = bilateral_pass(grid, _sigma(oracle and level == 1, oracle_sigma, grid=grid))
         bands = dwt2_haar(grid)
         sigma = _sigma(False, None, hh=bands.hh)
         details = (bands.lh, bands.hl, bands.hh)
-        lh, hl, hh = _shrink_level(level, details, sigma, _SHRINKERS["bayes"], config, band_log)
+        lh, hl, hh = _shrink_level(level, details, sigma, _SHRINKERS["bayes"], band_log)
         if level == config.levels:
-            ll = bilateral_pass(bands.ll, sigma, config.bilateral_params)
+            ll = bilateral_pass(bands.ll, sigma)
         else:
             ll = recurse(bands.ll, level + 1)
         return idwt2_haar(SubBands(ll, lh, hl, hh))

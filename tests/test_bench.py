@@ -243,13 +243,13 @@ def test_cli_run_and_synth(tmp_path, capsys):
 
 
 def test_cli_run_reports_failed_cells(tmp_path, capsys):
-    # a 4x4 image is too small for the default 11x11 bilateral window
+    # a 4x4 image has no 3-level wavelet decomposition; the bilateral cells still run
     img = tmp_path / "tiny.pgm"
     save_pgm(texture_image(64)[:4, :4], img)
     out_csv = tmp_path / "tiny.csv"
     rc = cli_main([
         "run", "--images", str(img), "--sigmas", "10,20", "--methods", "visu,bilateral",
-        "--trials", "1", "--levels", "2", "--out", str(out_csv), "--no-runtime",
+        "--trials", "1", "--levels", "3", "--out", str(out_csv), "--no-runtime",
     ])
     assert rc == 1
     assert "bench: 2 of 4 cells failed" in capsys.readouterr().err
@@ -312,9 +312,10 @@ def test_cli_denoise_oracle_mode_needs_sigma(tmp_path):
 
 @pytest.mark.parametrize("extra, message", [
     (["--levels", "9"], "bench denoise: levels must be in [1, 6]"),
-    (["--sigma-mode", "oracle", "--sigma", "-5"], "bench denoise: --sigma must be positive, got -5"),
-    (["--sigma-mode", "oracle", "--sigma", "0"], "bench denoise: --sigma must be positive, got 0"),
-    (["--sigma-mode", "oracle", "--sigma", "nan"], "bench denoise: --sigma must be positive, got nan"),
+    (["--sigma-mode", "oracle", "--sigma", "-5"], "bench denoise: --sigma must be finite and positive, got -5"),
+    (["--sigma-mode", "oracle", "--sigma", "0"], "bench denoise: --sigma must be finite and positive, got 0"),
+    (["--sigma-mode", "oracle", "--sigma", "nan"], "bench denoise: --sigma must be finite and positive, got nan"),
+    (["--sigma-mode", "oracle", "--sigma", "inf"], "bench denoise: --sigma must be finite and positive, got inf"),
 ])
 def test_cli_denoise_reports_bad_arguments_in_one_line(tmp_path, extra, message):
     with pytest.raises(SystemExit) as exc:
@@ -336,7 +337,7 @@ def test_cli_denoise_checks_sigma_before_reading_the_image(tmp_path):
             "--sigma-mode", "oracle", "--sigma", "-5", "--out", str(tmp_path / "out.pgm")]
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
-    assert exc.value.code == "bench denoise: --sigma must be positive, got -5"
+    assert exc.value.code == "bench denoise: --sigma must be finite and positive, got -5"
 
 
 def _truncated_pgm(path):

@@ -5,7 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from denoisebench import bilateral
+from denoisebench import bilateral, pipelines
 from denoisebench.metrics import psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
@@ -30,8 +30,6 @@ def test_config_validation():
         MethodConfig(levels=0)
     with pytest.raises(ValueError):
         MethodConfig(levels=7)
-    with pytest.raises(ValueError):
-        MethodConfig(neigh_window=2)
     with pytest.raises(ValueError):
         MethodConfig(sigma_mode="guessed")
 
@@ -78,6 +76,14 @@ def test_oracle_mode_requires_sigma(noisy):
             denoise(noisy, MethodConfig(method=method, sigma_mode="oracle"))
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+def test_oracle_sigma_must_be_finite_and_non_negative(noisy, bad):
+    for method in METHODS:
+        config = MethodConfig(method=method, sigma_mode="oracle")
+        with pytest.raises(ValueError, match="oracle_sigma must be finite and non-negative"):
+            denoise(noisy, config, oracle_sigma=bad)
+
+
 def test_oracle_mode_given_mad_estimate_matches_estimated_mode(noisy):
     sigma_hat = estimate_noise_mad(dwt2_haar(noisy).hh)
     for method in METHODS:
@@ -115,10 +121,43 @@ def test_mrbf_flattens_constant_plus_noise():
     assert rms < 3.0
 
 
-def test_mrbf_every_level_flag(noisy):
-    every = denoise(noisy, MethodConfig(method="mrbf", mrbf_every_level=True))
-    top = denoise(noisy, MethodConfig(method="mrbf", mrbf_every_level=False))
-    assert not np.array_equal(every, top)
+def test_every_method_filters_a_tiny_image(texture):
+    # the bilateral window shrinks to fit, as in MRBF's coarse passes
+    tiny = add_awgn(texture[:4, :4], NoiseModel(sigma=20.0, seed=3))
+    for method in METHODS:
+        out = denoise(tiny, MethodConfig(method=method, levels=1))
+        assert out.shape == tiny.shape, method
+        assert np.all(np.isfinite(out)), method
+
+
+@pytest.mark.parametrize("shape, levels", [((32, 32), 3), ((4, 6), 1)])
+def test_every_bilateral_pass_uses_one_parameter_rule(monkeypatch, texture, shape, levels):
+    # sigma_d 1.8, window 11 shrunk to fit, sigma_r = 2 * the MAD estimate of
+    # the noise on that pass's input (floored at 1e-6); MRBF's last pass takes
+    # its estimate from the split of the previous pass's output
+    calls = []
+    original = pipelines.bilateral_filter
+
+    def recording(image, params):
+        out = original(image, params)
+        calls.append((image, params, out))
+        return out
+
+    monkeypatch.setattr(pipelines, "bilateral_filter", recording)
+    noisy = add_awgn(texture[: shape[0], : shape[1]], NoiseModel(sigma=20.0, seed=6))
+    for method, n_passes in (("bilateral", 1), ("collaborative", 1), ("mrbf", levels + 1)):
+        calls.clear()
+        denoise(noisy, MethodConfig(method=method, levels=levels))
+        assert len(calls) == n_passes, method
+        for i, (image, params, _) in enumerate(calls):
+            last_mrbf_pass = method == "mrbf" and i == levels
+            if method == "mrbf" and i > 0:
+                # every pass but the first filters the LL of the previous pass's output
+                np.testing.assert_array_equal(image, dwt2_haar(calls[i - 1][2]).ll)
+            sigma_hat = estimate_noise_mad(dwt2_haar(calls[i - 1][2] if last_mrbf_pass else image).hh)
+            assert params.sigma_d == 1.8, method
+            assert params.window == min(11, 2 * min(image.shape) - 1), method
+            assert params.sigma_r == max(2.0 * sigma_hat, 1e-6), method
 
 
 def test_collaborative_composition(texture):
