@@ -222,52 +222,57 @@ def write_csv(rows: list[BenchRow], path) -> None:
 
 
 def summarize(rows: list[BenchRow]) -> dict:
-    """Mean PSNR/UQI per method and per (method, sigma).
+    """Mean PSNR/UQI of the cells that succeeded, per method and per (method, sigma).
 
-    Returns {"methods": [...], "sigmas": [...], "psnr": {(method, sigma): mean},
-    "uqi": {...}, "psnr_by_method": {method: mean}, "uqi_by_method": {...}}.
+    A failed cell (NaN scores) is counted, not averaged, so a mean is NaN
+    only where every cell failed.  Returns {"methods": [...], "sigmas": [...],
+    "psnr": {(method, sigma): mean}, "uqi": {...}, "n_ok": {...: count},
+    "n_failed": {...}}, plus the same four keyed by method under
+    "psnr_by_method", "uqi_by_method", "n_ok_by_method" and "n_failed_by_method".
     """
     if not rows:
         raise ValueError("no rows to summarize")
-    methods = sorted({r.method for r in rows})
-    sigmas = sorted({r.sigma for r in rows})
-    psnr_cells: dict[tuple[str, float], list[float]] = {}
-    uqi_cells: dict[tuple[str, float], list[float]] = {}
+    cells: dict[tuple[str, float], list[BenchRow]] = {}
+    by_method: dict[str, list[BenchRow]] = {}
     for r in rows:
-        psnr_cells.setdefault((r.method, r.sigma), []).append(r.psnr_db)
-        uqi_cells.setdefault((r.method, r.sigma), []).append(r.uqi)
-    mean = lambda vals: float(np.mean(vals))
-    return {
-        "methods": methods,
-        "sigmas": sigmas,
-        "psnr": {k: mean(v) for k, v in psnr_cells.items()},
-        "uqi": {k: mean(v) for k, v in uqi_cells.items()},
-        "psnr_by_method": {
-            m: mean([r.psnr_db for r in rows if r.method == m]) for m in methods
-        },
-        "uqi_by_method": {
-            m: mean([r.uqi for r in rows if r.method == m]) for m in methods
-        },
-    }
+        cells.setdefault((r.method, r.sigma), []).append(r)
+        by_method.setdefault(r.method, []).append(r)
+
+    def mean(ok: list[BenchRow], field: str) -> float:
+        return float(np.mean([getattr(r, field) for r in ok])) if ok else math.nan
+
+    summary = {"methods": sorted(by_method), "sigmas": sorted({r.sigma for r in rows})}
+    for suffix, groups in (("", cells), ("_by_method", by_method)):
+        ok = {k: [r for r in group if not math.isnan(r.psnr_db)] for k, group in groups.items()}
+        summary["psnr" + suffix] = {k: mean(v, "psnr_db") for k, v in ok.items()}
+        summary["uqi" + suffix] = {k: mean(v, "uqi") for k, v in ok.items()}
+        summary["n_ok" + suffix] = {k: len(v) for k, v in ok.items()}
+        summary["n_failed" + suffix] = {k: len(groups[k]) - len(v) for k, v in ok.items()}
+    return summary
 
 
 def write_summary(rows: list[BenchRow], csv_path, table_path) -> None:
     """Write the aggregate CSV and a gnuplot-ready whitespace table.
 
-    The table has one row per sigma and one mean-PSNR column per method.
+    The CSV has one row per (method, sigma) and one per method, each with the
+    means of the cells that succeeded and the counts of cells that succeeded
+    and failed.  The table has one row per sigma and one mean-PSNR column per
+    method.
     """
     summary = summarize(rows)
     methods, sigmas = summary["methods"], summary["sigmas"]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "sigma", "mean_psnr_db", "mean_uqi"])
+        writer.writerow(["method", "sigma", "mean_psnr_db", "mean_uqi", "n_ok", "n_failed"])
         for m in methods:
             for s in sigmas:
-                writer.writerow([m, f"{s:g}",
-                                 _fmt(summary["psnr"][(m, s)]), _fmt(summary["uqi"][(m, s)])])
+                key = (m, s)
+                writer.writerow([m, f"{s:g}", _fmt(summary["psnr"][key]), _fmt(summary["uqi"][key]),
+                                 summary["n_ok"][key], summary["n_failed"][key]])
         for m in methods:
-            writer.writerow([m, "all",
-                             _fmt(summary["psnr_by_method"][m]), _fmt(summary["uqi_by_method"][m])])
+            writer.writerow([m, "all", _fmt(summary["psnr_by_method"][m]),
+                             _fmt(summary["uqi_by_method"][m]),
+                             summary["n_ok_by_method"][m], summary["n_failed_by_method"][m]])
     with open(table_path, "w") as fh:
         fh.write("# sigma " + " ".join(methods) + "\n")
         for s in sigmas:

@@ -5,15 +5,14 @@ with Gaussian weights on squared Euclidean pixel distance (sigma_d) and on
 intensity difference (sigma_r).  Borders use reflect-101 mirroring.
 
 The sum over window offsets runs on flat lanes of the padded image, one
-strip of whole rows at a time, about 32 Ki lanes per strip, so that a
-strip's working set stays in L2 cache on large images.  With padded width
-``pw = w + 2 * half``, output rows ``r0:r1`` are the ``(r1 - r0 - 1) * pw + w``
-lanes of ``padded.ravel()`` that start at ``(r0 + half) * pw + half``, and
-window offset ``(dy, dx)`` is the same run of lanes ``dy * pw + dx`` later.
-Every operand is thus a contiguous 1-D slice, which numpy's ufuncs stream
-several times faster than a strided 2-D view.  The ``2 * half`` lanes
-between two output rows are computed and then dropped when the strip is
-divided into ``out``: about 1% extra work at width 1024 and 4% at 256.
+strip of whole rows at a time.  With padded width ``pw = w + 2 * half``,
+output rows ``r0:r1`` are the ``(r1 - r0 - 1) * pw + w`` lanes of
+``padded.ravel()`` that start at ``(r0 + half) * pw + half``, and window
+offset ``(dy, dx)`` is the same run of lanes ``dy * pw + dx`` later.  Every
+operand is thus a contiguous 1-D slice, which numpy's ufuncs stream several
+times faster than a strided 2-D view.  The ``2 * half`` lanes between two
+output rows are computed and then dropped when the strip is divided into
+``out``: about 1% extra work at width 1024 and 4% at 256.
 
 Each offset updates ``num`` and ``den`` through one scratch buffer with
 ``out=`` ufuncs.  Every output pixel sees the same operations in the same
@@ -28,9 +27,20 @@ helper thread per other CPU that is created on first use, never on import
 ufunc, so the lanes run in parallel.  A call made on any other thread uses
 one lane: ``bench run --workers N`` already fills the cores with one cell
 per pool thread, and nesting the helper pool under it made that sweep
-slower.  Each strip sees the same operations in the same order whichever
-lane runs it, so the output does not depend on k.  Extra memory is one
-padded copy of the image plus k sets of three buffers of one strip's lanes
+slower.
+
+A strip costs about eight ufunc calls per window offset whatever its size,
+and each call releases and retakes the GIL; when two lanes contend for it,
+every hand-off costs a few microseconds.  So strips are as few as the lanes
+allow: the image is cut into the smallest number n of strips that is a
+multiple of k and keeps each strip within ``_STRIP_LANES`` lanes, at rows
+``i * h // n``, so strip heights differ by at most one row and every lane
+gets the same work.  k is lowered until each strip holds at least a quarter
+of ``_STRIP_LANES``: below that the hand-offs cost more than a second lane
+gains, so images below about 220x220 stay on one lane.  Each strip sees the
+same operations in the same order whichever lane runs it and however the
+rows are cut, so the output depends on neither.  Extra memory is one padded
+copy of the image plus k sets of three buffers of one strip's lanes
 (``num``, ``den``, ``buf``), allocated once per call on the calling thread,
 instead of about six full-image temporaries.
 """
@@ -44,8 +54,12 @@ import numpy as np
 
 __all__ = ["BilateralParams", "bilateral_filter"]
 
-# target lanes per row strip; a strip is at least one row
-_STRIP_PIXELS = 1 << 15
+# most lanes a row strip may hold, unless one row is longer.  Picked by
+# measurement on a 2-vCPU host with 2 MiB of L2: 64-128 Ki ran within noise
+# of each other on two lanes, and 96 Ki beat 72 Ki end to end.  A lone lane
+# on a 512x512 or larger image runs about 15% slower than with 32 Ki strips,
+# which fit in L2.
+_STRIP_LANES = 96 << 10
 
 # runs lanes 1..k-1 of main-thread calls; created by the first call that needs it
 _helpers = None
@@ -79,6 +93,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_helpers)
 
 
+def _strips(h: int, pw: int, lanes: int) -> tuple[int, list[tuple[int, int]]]:
+    """Lane count k <= `lanes` and the row ranges of the strips (see module docs)."""
+    fewest = -(-h // max(1, _STRIP_LANES // pw))
+    for k in range(lanes, 0, -1):
+        n = -(-fewest // k) * k
+        if k == 1 or h // n * pw >= _STRIP_LANES // 4:
+            break
+    return k, [(i * h // n, (i + 1) * h // n) for i in range(n)]
+
+
 @dataclass(frozen=True)
 class BilateralParams:
     """Spatial fall-off (pixels), range fall-off (luminance), window side."""
@@ -107,17 +131,14 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
     out = np.empty_like(img)
     pw = w + 2 * half
     flat = padded.ravel()
-    rows = max(1, _STRIP_PIXELS // pw)
-    starts = range(0, h, rows)
     # only a main-thread call fans out: a sweep's pool threads already fill the cores
     on_main = threading.current_thread() is threading.main_thread()
-    k = min(_cpu_count() if on_main else 1, len(starts))
-    lane_bufs = np.empty((k, 3, min(rows, h) * pw))
+    k, strips = _strips(h, pw, _cpu_count() if on_main else 1)
+    lane_bufs = np.empty((k, 3, -(-h // len(strips)) * pw))
 
     def run_lane(lane: int) -> None:
         num, den, buf = lane_bufs[lane]
-        for r0 in starts[lane::k]:
-            r1 = min(r0 + rows, h)
+        for r0, r1 in strips[lane::k]:
             m = r1 - r0
             n = (m - 1) * pw + w
             start = (r0 + half) * pw + half

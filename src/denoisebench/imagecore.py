@@ -99,13 +99,14 @@ def save_pgm(image, path) -> None:
     loading the file back reproduces the clamped-rounded image exactly.
     """
     img = as_image(image)
-    clamped = np.clip(img, 0.0, 255.0)
-    # np.round is half-to-even; the contract is half-away-from-zero
-    quantized = np.floor(clamped + 0.5).astype(np.uint8)
+    # one image-sized temporary; np.round is half-to-even, the contract half-away-from-zero
+    rounded = np.clip(img, 0.0, 255.0)
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
     height, width = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+        fh.write(rounded.astype(np.uint8).tobytes())
 
 
 def pad_mirror(image, margin: int) -> np.ndarray:

@@ -206,11 +206,29 @@ def test_summarize_means():
         summarize([])
 
 
+def test_summarize_averages_only_cells_that_succeeded():
+    nan = float("nan")
+
+    def row(method, psnr, uqi):
+        return BenchRow("img", 10.0, method, 3, 1, 0, 1.0, 1.0, 1.0, psnr, uqi, 0.0)
+
+    rows = [row("visu", 30.0, 0.25), row("visu", nan, nan), row("visu", 32.0, 0.75),
+            row("bayes", nan, nan)]
+    summary = summarize(rows)
+    assert summary["psnr"][("visu", 10.0)] == summary["psnr_by_method"]["visu"] == 31.0
+    assert summary["uqi"][("visu", 10.0)] == 0.5
+    assert summary["n_ok"][("visu", 10.0)] == summary["n_ok_by_method"]["visu"] == 2
+    assert summary["n_failed"][("visu", 10.0)] == summary["n_failed_by_method"]["visu"] == 1
+    # NaN only where every cell failed
+    assert np.isnan(summary["psnr"][("bayes", 10.0)]) and np.isnan(summary["uqi_by_method"]["bayes"])
+    assert summary["n_ok_by_method"]["bayes"] == 0 and summary["n_failed"][("bayes", 10.0)] == 1
+
+
 def test_write_summary_files(tmp_path):
     rows = run_benchmark(_tiny_config(tmp_path))
     write_summary(rows, tmp_path / "s.csv", tmp_path / "p.dat")
     lines = (tmp_path / "s.csv").read_text().splitlines()
-    assert lines[0] == "method,sigma,mean_psnr_db,mean_uqi"
+    assert lines[0] == "method,sigma,mean_psnr_db,mean_uqi,n_ok,n_failed"
     table = (tmp_path / "p.dat").read_text().splitlines()
     assert table[0] == "# sigma bayes visu"
     assert len(table) == 3  # header + one row per sigma
@@ -256,6 +274,35 @@ def test_cli_run_reports_failed_cells(tmp_path, capsys):
     assert len(out_csv.read_text().splitlines()) == 5
     assert (tmp_path / "tiny_summary.csv").exists()
     assert (tmp_path / "tiny_plot.dat").exists()
+
+
+def test_cli_run_summary_keeps_trials_that_succeeded(tmp_path, capsys):
+    # visu fails on the 4x4 image only (no 3-level decomposition); its 16x16
+    # trials must still give the summary a mean, next to the failed count
+    paths = []
+    for size in (4, 16):
+        paths.append(str(tmp_path / f"img{size}.pgm"))
+        save_pgm(texture_image(64)[:size, :size], paths[-1])
+    out_csv = tmp_path / "mixed.csv"
+    rc = cli_main([
+        "run", "--images", ",".join(paths), "--sigmas", "10", "--methods", "visu,bilateral",
+        "--trials", "2", "--levels", "3", "--out", str(out_csv), "--no-runtime",
+    ])
+    assert rc == 1
+    assert "bench: 2 of 8 cells failed" in capsys.readouterr().err
+    trials = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    visu16 = [float(t[9]) for t in trials if t[0] == "img16" and t[2] == "visu"]
+    want = float(np.mean(visu16))
+    summary = (tmp_path / "mixed_summary.csv").read_text().splitlines()
+    assert summary[0] == "method,sigma,mean_psnr_db,mean_uqi,n_ok,n_failed"
+    rows = {tuple(line.split(",")[:2]): line.split(",")[2:] for line in summary[1:]}
+    for sigma in ("10", "all"):
+        psnr, uqi, n_ok, n_failed = rows[("visu", sigma)]
+        assert float(psnr) == want and uqi != "nan" and (n_ok, n_failed) == ("2", "2")
+        assert rows[("bilateral", sigma)][2:] == ["4", "0"]
+    plot = (tmp_path / "mixed_plot.dat").read_text().splitlines()
+    assert plot[0] == "# sigma bilateral visu"
+    assert plot[1].split()[2] == f"{want:.4f}"
 
 
 def test_cli_config_file_with_overrides(tmp_path):

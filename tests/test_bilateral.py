@@ -142,11 +142,11 @@ def test_shift_equivariance(img, offset):
 @pytest.mark.parametrize(
     "shape, params",
     [
-        # several strips, height not a multiple of the strip height
-        ((70, 1024), BilateralParams()),
-        ((37, 1200), BilateralParams(sigma_d=2.5, sigma_r=30.0, window=7)),
+        # several strips of unequal heights
+        ((200, 1024), BilateralParams()),
+        ((170, 1200), BilateralParams(sigma_d=2.5, sigma_r=30.0, window=7)),
         # the range floor the collaborative pass hits
-        ((37, 1200), BilateralParams(sigma_r=1e-6)),
+        ((170, 1200), BilateralParams(sigma_r=1e-6)),
         # largest allowed window, 2 * min(h, w) - 1
         ((9, 13), BilateralParams(window=17)),
         ((5, 300), BilateralParams(window=9)),
@@ -156,7 +156,7 @@ def test_shift_equivariance(img, offset):
         # narrow images: the dropped lanes between rows are most of a row
         ((50, 2), BilateralParams(window=3)),
         ((40, 7), BilateralParams(window=13)),
-        ((3000, 13), BilateralParams(window=5)),
+        ((12000, 13), BilateralParams(window=5)),
     ],
 )
 def test_bit_identical_to_untiled_sum(shape, params):
@@ -165,7 +165,7 @@ def test_bit_identical_to_untiled_sum(shape, params):
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
 
 
-@pytest.mark.parametrize("shape, window", [((40, 7), 13), ((37, 1200), 11), ((3000, 13), 3)])
+@pytest.mark.parametrize("shape, window", [((40, 7), 13), ((170, 1200), 11), ((12000, 13), 3)])
 def test_bit_identical_on_integer_image(shape, window):
     # few grey levels: neighbours are often exactly equal, so at the range
     # floor every weight is exactly its spatial term or exactly 0
@@ -175,11 +175,34 @@ def test_bit_identical_on_integer_image(shape, window):
 
 
 def test_strip_height_covers_multi_strip_cases():
-    # the cases above span several strips only while strips are this small
-    for (h, w), window in [((70, 1024), 11), ((37, 1200), 7), ((37, 1200), 11), ((3000, 13), 5),
-                          ((3000, 13), 3)]:
-        padded_width = w + 2 * (window // 2)
-        assert max(1, bilateral._STRIP_PIXELS // padded_width) < h
+    # the cases above span several strips even on one lane
+    for (h, w), window in [((200, 1024), 11), ((170, 1200), 7), ((170, 1200), 11),
+                          ((12000, 13), 5), ((12000, 13), 3)]:
+        _, strips = bilateral._strips(h, w + 2 * (window // 2), 1)
+        assert len(strips) > 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5000), st.integers(1, 4000), st.integers(1, 4))
+def test_strips_partition_rows_evenly(h, pw, lanes):
+    k, strips = bilateral._strips(h, pw, lanes)
+    budget_rows = max(1, bilateral._STRIP_LANES // pw)
+    heights = [r1 - r0 for r0, r1 in strips]
+    # every row once, in order, heights within one row of each other and the budget
+    assert [r for r0, r1 in strips for r in range(r0, r1)] == list(range(h))
+    assert max(heights) - min(heights) <= 1 and min(heights) >= 1
+    assert max(heights) <= budget_rows
+    # a multiple of k strips, the fewest that keep to the budget; each lane gets as many
+    assert 1 <= k <= lanes and len(strips) % k == 0
+    assert len({len(strips[lane::k]) for lane in range(k)}) == 1
+    assert len(strips) == k or -(-h // (len(strips) - k)) > budget_rows
+    # a second lane only when each strip holds a quarter of the budget
+    quarter = bilateral._STRIP_LANES // 4
+    assert k == 1 or min(heights) * pw >= quarter
+    if k < lanes:
+        # k + 1 lanes would have cut strips below the quarter
+        fewest = -(-h // budget_rows)
+        assert h // (-(-fewest // (k + 1)) * (k + 1)) * pw < quarter
 
 
 @settings(max_examples=15, deadline=None)
@@ -231,8 +254,8 @@ def spy_pool(monkeypatch):
 
 
 def _strip_image(strips, seed=0):
-    # padded width 1024 at window 11 gives 32 rows per strip
-    rows = bilateral._STRIP_PIXELS // 1024
+    # padded width 1024 at window 11 gives 96 rows per strip on one lane
+    rows = bilateral._STRIP_LANES // 1024
     return np.random.default_rng(seed).uniform(0.0, 255.0, (rows * (strips - 1) + 7, 1014))
 
 
@@ -243,29 +266,39 @@ def test_lanes_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores, strips
     img = _strip_image(strips)
     params = BilateralParams()
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
-    # the caller runs lane 0; every other lane goes to the helpers
-    assert spy_pool.lanes == list(range(1, min(cores, strips)))
+    # the caller runs lane 0; every other lane goes to the helpers.  One 7-row
+    # strip is too small to share; every larger image fills each core.
+    assert spy_pool.lanes == list(range(1, cores if strips > 1 else 1))
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_small_main_thread_call_stays_on_one_lane(monkeypatch, spy_pool, cores):
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = np.random.default_rng(128).uniform(0.0, 255.0, (128, 128))
+    params = BilateralParams()
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+    assert spy_pool.lanes == []
 
 
 @pytest.mark.parametrize("cores", [2, 3])
 def test_lanes_bit_identical_on_tall_narrow_image(monkeypatch, cores):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
-    img = np.random.default_rng(3013).uniform(0.0, 255.0, (3000, 13))
+    img = np.random.default_rng(3013).uniform(0.0, 255.0, (12000, 13))
     params = BilateralParams(window=5)
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
 
 
 @settings(max_examples=15, deadline=None)
 @given(
-    st.integers(1, 100),
-    st.integers(256, 1200),
-    st.sampled_from([1, 3, 5, 11]),
+    st.integers(1, 600),
+    st.integers(1, 400),
+    st.sampled_from([1, 3, 5, 7]),
     st.floats(1e-6, 100.0),
     st.integers(0, 2**32 - 1),
-    st.sampled_from([2, 3]),
+    st.integers(1, 4),
 )
 def test_lanes_bit_identical_to_untiled_sum_random_shapes(h, w, window, sigma_r, seed, cores):
-    params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * h - 1))
+    params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * min(h, w) - 1))
     img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bilateral, "_cpu_count", lambda: cores)
@@ -303,7 +336,7 @@ def test_pool_sized_for_every_cpu_not_the_first_call(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     params = BilateralParams(window=3)
-    # padded width 256 at window 3 gives 128 rows per strip
+    # at padded width 256 and window 3 the first image fills two lanes, the second three
     two, three = (np.random.default_rng(s).uniform(0.0, 255.0, (h, 254))
                   for s, h in ((0, 256), (1, 384)))
     try:

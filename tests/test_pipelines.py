@@ -187,3 +187,14 @@ def test_mrbf_float_output_same_on_main_and_worker_thread(monkeypatch):
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         on_worker = pool.submit(denoise, image, config).result()
     assert np.array_equal(on_main, on_worker)
+
+
+def test_mrbf_float_output_same_for_every_lane_count_at_1024(monkeypatch):
+    # the benchmark's size: 12 strips on 2 or 3 lanes; its 8-bit PGM hides last bits
+    image = add_awgn(np.tile(texture_image(256), (4, 4)), NoiseModel(sigma=25.0, seed=11))
+    config = MethodConfig(method="mrbf")
+    outputs = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+        outputs.append(denoise(image, config))
+    assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
