@@ -5,12 +5,10 @@ Images are 2-D float64 numpy arrays of shape (height, width), nominally in
 writing PGM files.
 """
 
-from denoisebench.imagecore import load_pgm, save_pgm, pad_mirror, clamp_image
+from denoisebench.imagecore import load_pgm, save_pgm
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.wavelet import SubBands, Pyramid, dwt2_haar, idwt2_haar, decompose, reconstruct
 from denoisebench.shrinkage import (
-    ThresholdRule,
-    BandStats,
     apply_threshold,
     visu_threshold,
     sure_threshold,
@@ -23,11 +21,11 @@ from denoisebench.metrics import MetricsReport, mse_rmse_mae, psnr, uqi, evaluat
 from denoisebench.pipelines import MethodConfig, denoise, collaborative, mrbf
 
 __all__ = [
-    "load_pgm", "save_pgm", "pad_mirror", "clamp_image",
+    "load_pgm", "save_pgm",
     "NoiseModel", "add_awgn", "estimate_noise_mad",
     "SubBands", "Pyramid", "dwt2_haar", "idwt2_haar", "decompose", "reconstruct",
-    "ThresholdRule", "BandStats", "apply_threshold", "visu_threshold",
-    "sure_threshold", "bayes_threshold", "band_stats", "neigh_shrink",
+    "apply_threshold", "visu_threshold", "sure_threshold", "bayes_threshold",
+    "band_stats", "neigh_shrink",
     "BilateralParams", "bilateral_filter",
     "MetricsReport", "mse_rmse_mae", "psnr", "uqi", "evaluate",
     "MethodConfig", "denoise", "collaborative", "mrbf",

@@ -136,7 +136,7 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
     try:
         noisy = _noisy(clean, sigma, seed) if noise is None else noise.result()
         t0 = time.perf_counter()
-        denoised = denoise(noisy, mcfg, oracle_sigma=sigma)
+        denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
         report = evaluate(clean, denoised, clamp=config.metrics_mode == "clamped")
         if config.save_images_dir:
@@ -262,7 +262,7 @@ def write_summary(rows: list[BenchRow], csv_path, table_path) -> None:
     summary = summarize(rows)
     methods, sigmas = summary["methods"], summary["sigmas"]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "sigma", "mean_psnr_db", "mean_uqi", "n_ok", "n_failed"])
         for m in methods:
             for s in sigmas:

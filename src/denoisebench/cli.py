@@ -51,14 +51,12 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    names = []
-    for raw in text.split(","):
-        name = _METHOD_ALIASES.get(raw.strip(), raw.strip())
-        if name not in METHODS:
-            raise SystemExit(f"bench: unknown method {raw.strip()!r}; choose from {', '.join(METHODS)}")
-        names.append(name)
-    return tuple(names)
+def _method_name(raw: str) -> str:
+    """The method `raw` names, aliases resolved; unknown names raise ValueError."""
+    name = _METHOD_ALIASES.get(raw, raw)
+    if name not in METHODS:
+        raise ValueError(f"unknown method {raw!r}; choose from {', '.join(METHODS)}")
+    return name
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -114,7 +112,7 @@ def _cmd_run(args) -> int:
     if images is None:
         raise SystemExit("bench run: no input images (use --images or 'images =' in the config)")
     sigmas = setting(args.sigmas, "sigmas", "10,20,30,40,50")
-    method_names = _parse_methods(setting(args.methods, "methods", ",".join(METHODS)))
+    methods = setting(args.methods, "methods", ",".join(METHODS))
     out = setting(args.out, "out", "bench.csv")
     save_images = setting(args.save_images, "save_images", None)
     metrics_mode = setting(args.metrics, "metrics", "clamped")
@@ -127,7 +125,8 @@ def _cmd_run(args) -> int:
         config = BenchConfig(
             image_paths=tuple(_collect_images(images)),
             sigmas=tuple(float(s) for s in str(sigmas).split(",")),
-            methods=tuple(MethodConfig(method=m, levels=levels) for m in method_names),
+            methods=tuple(MethodConfig(method=_method_name(m.strip()), levels=levels)
+                          for m in methods.split(",")),
             trials=trials,
             master_seed=seed,
             save_images_dir=save_images,
@@ -161,22 +160,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    if args.sigma_mode == "oracle" and args.sigma is None:
-        raise SystemExit("bench denoise: --sigma-mode oracle needs --sigma")
-    if args.sigma_mode != "oracle" and args.sigma is not None:
-        raise SystemExit("bench denoise: --sigma needs --sigma-mode oracle")
     if args.sigma is not None and not 0 < args.sigma < math.inf:
         raise SystemExit(f"bench denoise: --sigma must be finite and positive, got {args.sigma:g}")
-    name = _METHOD_ALIASES.get(args.method, args.method)
-    if name not in METHODS:
-        raise SystemExit(f"bench: unknown method {args.method!r}")
     try:
-        config = MethodConfig(method=name, levels=args.levels, sigma_mode=args.sigma_mode)
+        config = MethodConfig(method=_method_name(args.method), levels=args.levels)
         denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
         save_pgm(denoised, args.out)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"bench denoise: {exc}") from None
-    print(f"bench: {name}-denoised image written to {args.out}")
+    print(f"bench: {config.method}-denoised image written to {args.out}")
     return 0
 
 
@@ -208,9 +200,8 @@ def main(argv=None) -> int:
     one = sub.add_parser("denoise", help="denoise a single PGM")
     one.add_argument("--in", required=True, help="input PGM")
     one.add_argument("--method", required=True, help="denoising method")
-    one.add_argument("--sigma", type=float, help="true noise std; needs --sigma-mode oracle")
-    one.add_argument("--sigma-mode", dest="sigma_mode", default="estimated",
-                     choices=["estimated", "oracle"])
+    one.add_argument("--sigma", type=float,
+                     help="true noise std, used in place of the MAD estimate")
     one.add_argument("--levels", type=int, default=3)
     one.add_argument("--out", required=True, help="output PGM")
     one.set_defaults(func=_cmd_denoise)

@@ -1,4 +1,4 @@
-"""Image representation, PGM I/O, mirror padding and clamping.
+"""Image representation and PGM I/O.
 
 An image is a 2-D float64 numpy array of shape (height, width).  Samples are
 real-valued and may leave [0, 255] while processing; quantization to 8-bit
@@ -7,7 +7,7 @@ happens only in :func:`save_pgm`.
 
 import numpy as np
 
-__all__ = ["as_image", "load_pgm", "save_pgm", "pad_mirror", "clamp_image"]
+__all__ = ["as_image", "load_pgm", "save_pgm"]
 
 
 class PgmError(ValueError):
@@ -108,24 +108,3 @@ def save_pgm(image, path) -> None:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(rounded.astype(np.uint8).tobytes())
 
-
-def pad_mirror(image, margin: int) -> np.ndarray:
-    """Pad by `margin` pixels on every side with reflect-101 mirroring.
-
-    Reflect-101 does not repeat the edge sample: index -k maps to index k.
-    """
-    img = as_image(image)
-    if margin < 0:
-        raise ValueError("margin must be non-negative")
-    if margin >= min(img.shape):
-        raise ValueError(f"margin {margin} too large for image shape {img.shape}")
-    if margin == 0:
-        return img.copy()
-    return np.pad(img, margin, mode="reflect")
-
-
-def clamp_image(image, lo: float = 0.0, hi: float = 255.0) -> np.ndarray:
-    """Clamp every sample into [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"lo {lo} exceeds hi {hi}")
-    return np.clip(as_image(image), lo, hi)

@@ -50,7 +50,7 @@ def psnr(reference, test, clamp: bool = True) -> float:
     if clamp:
         ref = np.clip(ref, 0.0, PEAK)
         tst = np.clip(tst, 0.0, PEAK)
-    return _psnr_from_mse(float(np.mean((tst - ref) ** 2)))
+    return _psnr_from_mse(mse_rmse_mae(ref, tst)[0])
 
 
 def _psnr_from_mse(mse: float) -> float:

@@ -14,7 +14,6 @@ import numpy as np
 from denoisebench.bilateral import BilateralParams, bilateral_filter
 from denoisebench.noise import estimate_noise_mad
 from denoisebench.shrinkage import (
-    ThresholdRule,
     apply_threshold,
     band_stats,
     bayes_threshold,
@@ -38,26 +37,21 @@ class MethodConfig:
 
     method: str = "bayes"
     levels: int = 3
-    sigma_mode: str = "estimated"  # "estimated" | "oracle"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not 1 <= self.levels <= 6:
             raise ValueError("levels must be in [1, 6]")
-        if self.sigma_mode not in ("estimated", "oracle"):
-            raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
 
 
-def _sigma(oracle: bool, oracle_sigma, grid=None, hh=None) -> float:
-    """Noise std: `oracle_sigma` when `oracle`, else the MAD estimate of the finest HH band.
+def _sigma(oracle_sigma, grid=None, hh=None) -> float:
+    """Noise std: `oracle_sigma` when given, else the MAD estimate of the finest HH band.
 
     Pass `hh` when the caller already holds that band; otherwise the
-    even-trimmed `grid` is transformed once.  Oracle mode runs no transform.
+    even-trimmed `grid` is transformed once.  A given sigma runs no transform.
     """
-    if oracle:
-        if oracle_sigma is None:
-            raise ValueError("sigma_mode='oracle' requires oracle_sigma")
+    if oracle_sigma is not None:
         sigma = float(oracle_sigma)
         if not 0 <= sigma < math.inf:
             raise ValueError(f"oracle_sigma must be finite and non-negative, got {sigma:g}")
@@ -74,11 +68,11 @@ def _sigma(oracle: bool, oracle_sigma, grid=None, hh=None) -> float:
 # them at run time is still reached.
 _SHRINKERS = {
     "visu": lambda band, sigma: apply_threshold(
-        band, ThresholdRule("hard", visu_threshold(sigma, band.size))),
+        band, visu_threshold(sigma, band.size), soft=False),
     "sure": lambda band, sigma: band.copy() if sigma == 0 else apply_threshold(
-        band, ThresholdRule("soft", sure_threshold(band, sigma))),
+        band, sure_threshold(band, sigma), soft=True),
     "bayes": lambda band, sigma: apply_threshold(
-        band, ThresholdRule("soft", bayes_threshold(band_stats(band, sigma)))),
+        band, bayes_threshold(sigma, band_stats(band, sigma)), soft=True),
     "neigh": lambda band, sigma: neigh_shrink(band, visu_threshold(sigma, band.size)),
 }
 
@@ -96,19 +90,19 @@ def _shrink_level(level: int, details, sigma: float, shrink, band_log):
 def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
     """Run the configured method.  Output is not clamped.
 
-    `band_log`, when given a list, records every (level, band) that was
-    thresholded, for instrumentation.
+    The noise std is `oracle_sigma` when given (the true sigma), else the
+    MAD estimate.  `band_log`, when given a list, records every (level,
+    band) that was thresholded, for instrumentation.
     """
     img = np.asarray(image, dtype=np.float64)
-    oracle = config.sigma_mode == "oracle"
     if config.method == "bilateral":
-        return bilateral_pass(img, _sigma(oracle, oracle_sigma, grid=img))
+        return bilateral_pass(img, _sigma(oracle_sigma, grid=img))
     if config.method == "collaborative":
         return collaborative(img, config, oracle_sigma, band_log=band_log)
     if config.method == "mrbf":
         return mrbf(img, config, oracle_sigma, band_log=band_log)
     pyramid = decompose(img, config.levels)
-    sigma = _sigma(oracle, oracle_sigma, hh=pyramid.levels[0][2])
+    sigma = _sigma(oracle_sigma, hh=pyramid.levels[0][2])
     shrink = _SHRINKERS[config.method]
     levels = tuple(
         _shrink_level(k, details, sigma, shrink, band_log)
@@ -134,7 +128,7 @@ def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None
     the Bayes output.
     """
     stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma, band_log=band_log)
-    return bilateral_pass(stage1, _sigma(False, None, grid=stage1))
+    return bilateral_pass(stage1, _sigma(None, grid=stage1))
 
 
 def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
@@ -155,12 +149,11 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
     h, w = img.shape
     if h % (1 << config.levels) or w % (1 << config.levels):
         raise ValueError(f"dimensions {h}x{w} not divisible by 2^{config.levels}")
-    oracle = config.sigma_mode == "oracle"
 
     def recurse(grid, level):
-        grid = bilateral_pass(grid, _sigma(oracle and level == 1, oracle_sigma, grid=grid))
+        grid = bilateral_pass(grid, _sigma(oracle_sigma if level == 1 else None, grid=grid))
         bands = dwt2_haar(grid)
-        sigma = _sigma(False, None, hh=bands.hh)
+        sigma = _sigma(None, hh=bands.hh)
         details = (bands.lh, bands.hl, bands.hh)
         lh, hl, hh = _shrink_level(level, details, sigma, _SHRINKERS["bayes"], band_log)
         if level == config.levels:

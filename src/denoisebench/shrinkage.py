@@ -6,13 +6,10 @@ Bayesian (BayesShrink) and the neighborhood shrink factor (NeighShrink).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ThresholdRule",
-    "BandStats",
     "apply_threshold",
     "visu_threshold",
     "sure_threshold",
@@ -22,41 +19,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """Kill-or-keep (hard) or kill-or-shrink (soft) rule at threshold `value`."""
+def apply_threshold(band, t: float, soft: bool) -> np.ndarray:
+    """Soft (kill-or-shrink) or hard (kill-or-keep) thresholding at `t`, elementwise.
 
-    kind: str  # "hard" | "soft"
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("hard", "soft"):
-            raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("threshold must be non-negative")
-
-
-@dataclass(frozen=True)
-class BandStats:
-    """Noise/observed/signal standard deviations of one detail band."""
-
-    sigma_n: float
-    sigma_w: float
-    sigma_s: float
-    n: int
-
-
-def apply_threshold(band, rule: ThresholdRule) -> np.ndarray:
-    """Apply hard or soft thresholding elementwise.
-
-    Coefficients with |x| strictly greater than the threshold survive; a
-    coefficient exactly at the threshold is zeroed by both rules.
+    Coefficients with |x| strictly greater than `t` survive; a coefficient
+    exactly at the threshold is zeroed by both rules.
     """
+    if t < 0:
+        raise ValueError("threshold must be non-negative")
     x = np.asarray(band, dtype=np.float64)
-    t = rule.value
-    if rule.kind == "hard":
-        return np.where(np.abs(x) > t, x, 0.0)
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    if soft:
+        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+    return np.where(np.abs(x) > t, x, 0.0)
 
 
 def visu_threshold(sigma: float, n: int) -> float:
@@ -111,11 +85,11 @@ def sure_threshold(band, sigma: float) -> float:
     return sigma * min(t_min, universal)
 
 
-def band_stats(band, sigma_n: float) -> BandStats:
-    """Observed and signal std of a zero-mean detail band.
+def band_stats(band, sigma_n: float) -> float:
+    """Signal std sigma_s of a zero-mean detail band with noise std `sigma_n`.
 
-    The observed variance is the uncentered second moment; the signal std
-    is sqrt(max(sigma_w^2 - sigma_n^2, 0)).
+    The observed variance sigma_w^2 is the uncentered second moment, and
+    sigma_s = sqrt(max(sigma_w^2 - sigma_n^2, 0)).
     """
     x = np.asarray(band, dtype=np.float64)
     if x.size == 0:
@@ -123,21 +97,21 @@ def band_stats(band, sigma_n: float) -> BandStats:
     if sigma_n < 0:
         raise ValueError("sigma_n must be non-negative")
     var_w = float(np.mean(x**2))
-    sigma_s = math.sqrt(max(var_w - sigma_n**2, 0.0))
-    return BandStats(sigma_n=sigma_n, sigma_w=math.sqrt(var_w), sigma_s=sigma_s, n=x.size)
+    return math.sqrt(max(var_w - sigma_n**2, 0.0))
 
 
-def bayes_threshold(stats: BandStats) -> float:
+def bayes_threshold(sigma_n: float, sigma_s: float) -> float:
     """BayesShrink threshold sigma_n^2 / sigma_s.
 
-    When the signal std is zero the band carries no signal; a sentinel equal
-    to +inf is returned so soft thresholding zeroes the whole band.
+    With no noise the threshold is 0.  When the signal std is zero the band
+    carries no signal; a sentinel equal to +inf is returned so soft
+    thresholding zeroes the whole band.
     """
-    if stats.sigma_n == 0:
+    if sigma_n == 0:
         return 0.0
-    if stats.sigma_s == 0:
+    if sigma_s == 0:
         return math.inf
-    return stats.sigma_n**2 / stats.sigma_s
+    return sigma_n**2 / sigma_s
 
 
 def neigh_shrink(band, t_universal: float, window: int = 3) -> np.ndarray:

@@ -26,9 +26,10 @@ from denoisebench.bench import (
 )
 from denoisebench import cli
 from denoisebench.cli import main as cli_main
-from denoisebench.imagecore import save_pgm
-from denoisebench.noise import splitmix64_stream
-from denoisebench.pipelines import MethodConfig
+from denoisebench.imagecore import load_pgm, save_pgm
+from denoisebench.metrics import evaluate
+from denoisebench.noise import NoiseModel, add_awgn, splitmix64_stream
+from denoisebench.pipelines import MethodConfig, denoise
 from denoisebench.synth import checkerboard_image, texture_image
 
 
@@ -256,8 +257,26 @@ def test_cli_run_and_synth(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3  # header + visu + collaborative
     assert {line.split(",")[2] for line in lines[1:]} == {"visu", "collaborative"}
-    assert (tmp_path / "run_summary.csv").exists()
-    assert (tmp_path / "run_plot.dat").exists()
+    # all three files end their lines with LF only
+    for path in (out_csv, tmp_path / "run_summary.csv", tmp_path / "run_plot.dat"):
+        data = path.read_bytes()
+        assert data.endswith(b"\n") and b"\r" not in data, path.name
+
+
+@pytest.mark.parametrize("method", ["bayes", "collaborative"])
+def test_sweep_cell_uses_the_estimated_sigma(tmp_path, method):
+    # one cell recomputed by hand: noise from its derived seed, the method
+    # with the MAD estimate (no true sigma), then the clamped scores
+    config = _tiny_config(tmp_path, methods=(method,), sigmas=(30.0,), trials=1)
+    (row,) = run_benchmark(config)
+    clean = load_pgm(config.image_paths[0])
+    seed = derive_seed(99, "tex64", 30.0, method, 1)
+    noisy = add_awgn(clean, NoiseModel(sigma=30.0, seed=seed))
+    report = evaluate(clean, denoise(noisy, MethodConfig(method=method, levels=2)))
+    assert row.seed == seed
+    assert (row.psnr_db, row.uqi) == (report.psnr_db, report.uqi)
+    oracle = denoise(noisy, MethodConfig(method=method, levels=2), oracle_sigma=30.0)
+    assert row.psnr_db != evaluate(clean, oracle).psnr_db
 
 
 def test_cli_run_reports_failed_cells(tmp_path, capsys):
@@ -340,29 +359,42 @@ def _denoise_checker_argv(tmp_path):
     return ["denoise", "--in", str(img), "--method", "bayes", "--out", str(tmp_path / "out.pgm")]
 
 
-def test_cli_denoise_rejects_sigma_without_oracle_mode(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        cli_main(_denoise_checker_argv(tmp_path) + ["--sigma", "20"])
-    assert exc.value.code == "bench denoise: --sigma needs --sigma-mode oracle"
-    assert not (tmp_path / "out.pgm").exists()
+def _noisy_texture_pgm(tmp_path):
+    # a noisy texture: a clean checkerboard's Haar details are 0, so there the
+    # estimate and the true sigma would give the same bytes
+    img = tmp_path / "noisy128.pgm"
+    save_pgm(add_awgn(texture_image(128), NoiseModel(sigma=20.0, seed=4)), img)
+    return img
 
 
-def test_cli_denoise_oracle_mode_needs_sigma(tmp_path):
-    argv = _denoise_checker_argv(tmp_path) + ["--sigma-mode", "oracle"]
-    with pytest.raises(SystemExit) as exc:
-        cli_main(argv)
-    assert exc.value.code == "bench denoise: --sigma-mode oracle needs --sigma"
-    assert not (tmp_path / "out.pgm").exists()
-    assert cli_main(argv + ["--sigma", "20"]) == 0
-    assert (tmp_path / "out.pgm").exists()
+def test_cli_denoise_sigma_selects_the_true_sigma(tmp_path):
+    img = _noisy_texture_pgm(tmp_path)
+    for method in ("bayes", "mrbf"):
+        argv = ["denoise", "--in", str(img), "--method", method, "--out", str(tmp_path / "true.pgm")]
+        assert cli_main(argv + ["--sigma", "20"]) == 0
+        save_pgm(denoise(load_pgm(img), MethodConfig(method=method), oracle_sigma=20.0),
+                 tmp_path / "want.pgm")
+        assert (tmp_path / "true.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes(), method
+
+
+def test_cli_denoise_without_sigma_uses_the_estimate(tmp_path):
+    img = _noisy_texture_pgm(tmp_path)
+    for method in ("bayes", "mrbf"):
+        argv = ["denoise", "--in", str(img), "--method", method]
+        assert cli_main(argv + ["--out", str(tmp_path / "estimated.pgm")]) == 0
+        assert cli_main(argv + ["--sigma", "20", "--out", str(tmp_path / "true.pgm")]) == 0
+        save_pgm(denoise(load_pgm(img), MethodConfig(method=method)), tmp_path / "want.pgm")
+        estimated = (tmp_path / "estimated.pgm").read_bytes()
+        assert estimated == (tmp_path / "want.pgm").read_bytes(), method
+        assert estimated != (tmp_path / "true.pgm").read_bytes(), method
 
 
 @pytest.mark.parametrize("extra, message", [
     (["--levels", "9"], "bench denoise: levels must be in [1, 6]"),
-    (["--sigma-mode", "oracle", "--sigma", "-5"], "bench denoise: --sigma must be finite and positive, got -5"),
-    (["--sigma-mode", "oracle", "--sigma", "0"], "bench denoise: --sigma must be finite and positive, got 0"),
-    (["--sigma-mode", "oracle", "--sigma", "nan"], "bench denoise: --sigma must be finite and positive, got nan"),
-    (["--sigma-mode", "oracle", "--sigma", "inf"], "bench denoise: --sigma must be finite and positive, got inf"),
+    (["--sigma", "-5"], "bench denoise: --sigma must be finite and positive, got -5"),
+    (["--sigma", "0"], "bench denoise: --sigma must be finite and positive, got 0"),
+    (["--sigma", "nan"], "bench denoise: --sigma must be finite and positive, got nan"),
+    (["--sigma", "inf"], "bench denoise: --sigma must be finite and positive, got inf"),
 ])
 def test_cli_denoise_reports_bad_arguments_in_one_line(tmp_path, extra, message):
     with pytest.raises(SystemExit) as exc:
@@ -381,7 +413,7 @@ def test_cli_denoise_reports_unsupported_size_in_one_line(tmp_path):
 
 def test_cli_denoise_checks_sigma_before_reading_the_image(tmp_path):
     argv = ["denoise", "--in", str(tmp_path / "missing.pgm"), "--method", "bayes",
-            "--sigma-mode", "oracle", "--sigma", "-5", "--out", str(tmp_path / "out.pgm")]
+            "--sigma", "-5", "--out", str(tmp_path / "out.pgm")]
     with pytest.raises(SystemExit) as exc:
         cli_main(argv)
     assert exc.value.code == "bench denoise: --sigma must be finite and positive, got -5"
@@ -581,5 +613,11 @@ def test_cli_runs_without_mallopt(tmp_path, monkeypatch):
 def test_cli_rejects_unknown_method(tmp_path):
     img = tmp_path / "in.pgm"
     save_pgm(texture_image(64), img)
-    with pytest.raises(SystemExit):
-        cli_main(["run", "--images", str(img), "--methods", "median"])
+    choices = "visu, sure, bayes, neigh, bilateral, collaborative, mrbf"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--images", str(img), "--methods", "visu, median"])
+    assert exc.value.code == f"bench run: unknown method 'median'; choose from {choices}"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["denoise", "--in", str(img), "--method", "foo", "--out", str(tmp_path / "out.pgm")])
+    assert exc.value.code == f"bench denoise: unknown method 'foo'; choose from {choices}"
+    assert not (tmp_path / "out.pgm").exists()

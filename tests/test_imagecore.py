@@ -1,4 +1,4 @@
-"""PGM I/O, mirror padding and clamping."""
+"""Image coercion and PGM I/O."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from denoisebench.imagecore import (
     PgmError,
     as_image,
-    clamp_image,
     load_pgm,
-    pad_mirror,
     save_pgm,
 )
 
@@ -105,28 +103,3 @@ def test_load_p5_rescales_any_maxval_below_255(tmp_path_factory, data):
     assert img.shape == pixels.shape
     assert img.tolist() == [[v * 255.0 / maxval for v in row] for row in pixels.tolist()]
 
-
-def test_pad_mirror_reflect_101_pattern():
-    img = np.array([[1.0, 2.0, 3.0]] * 3).T  # columns 1,2,3 stacked
-    out = pad_mirror(img, 1)
-    # reflect-101: index -1 mirrors to index 1, no edge repetition
-    assert out[:, 1].tolist() == [2.0, 1.0, 2.0, 3.0, 2.0]
-    assert out.shape == (5, 5)
-
-
-def test_pad_mirror_margin_zero_and_too_large():
-    img = np.arange(4.0).reshape(2, 2)
-    np.testing.assert_array_equal(pad_mirror(img, 0), img)
-    with pytest.raises(ValueError):
-        pad_mirror(img, 2)
-
-
-def test_clamp_image_basic():
-    out = clamp_image(np.array([[-3.0, 100.0, 260.0]]))
-    assert out.tolist() == [[0.0, 100.0, 255.0]]
-
-
-@given(arrays(np.float64, (4, 4), elements=st.floats(-500, 500)))
-def test_clamp_is_idempotent(img):
-    once = clamp_image(img)
-    np.testing.assert_array_equal(clamp_image(once), once)

@@ -30,8 +30,6 @@ def test_config_validation():
         MethodConfig(levels=0)
     with pytest.raises(ValueError):
         MethodConfig(levels=7)
-    with pytest.raises(ValueError):
-        MethodConfig(sigma_mode="guessed")
 
 
 def test_all_methods_run_and_are_deterministic(noisy):
@@ -65,31 +63,22 @@ def test_only_detail_bands_are_thresholded(noisy):
 
 
 def test_visu_oracle_zero_sigma_is_identity(texture):
-    config = MethodConfig(method="visu", sigma_mode="oracle")
-    out = denoise(texture, config, oracle_sigma=0.0)
+    out = denoise(texture, MethodConfig(method="visu"), oracle_sigma=0.0)
     assert np.max(np.abs(out - texture)) < 1e-9
-
-
-def test_oracle_mode_requires_sigma(noisy):
-    for method in METHODS:
-        with pytest.raises(ValueError, match="requires oracle_sigma"):
-            denoise(noisy, MethodConfig(method=method, sigma_mode="oracle"))
 
 
 @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
 def test_oracle_sigma_must_be_finite_and_non_negative(noisy, bad):
     for method in METHODS:
-        config = MethodConfig(method=method, sigma_mode="oracle")
         with pytest.raises(ValueError, match="oracle_sigma must be finite and non-negative"):
-            denoise(noisy, config, oracle_sigma=bad)
+            denoise(noisy, MethodConfig(method=method), oracle_sigma=bad)
 
 
 def test_oracle_mode_given_mad_estimate_matches_estimated_mode(noisy):
     sigma_hat = estimate_noise_mad(dwt2_haar(noisy).hh)
     for method in METHODS:
         estimated = denoise(noisy, MethodConfig(method=method))
-        config = MethodConfig(method=method, sigma_mode="oracle")
-        oracle = denoise(noisy, config, oracle_sigma=sigma_hat)
+        oracle = denoise(noisy, MethodConfig(method=method), oracle_sigma=sigma_hat)
         np.testing.assert_array_equal(oracle, estimated, err_msg=method)
 
 

@@ -10,8 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from denoisebench.noise import gaussian_field
 from denoisebench.shrinkage import (
-    BandStats,
-    ThresholdRule,
     apply_threshold,
     band_stats,
     bayes_threshold,
@@ -22,31 +20,30 @@ from denoisebench.shrinkage import (
 
 
 def test_hard_threshold_hand_example():
-    out = apply_threshold([-3.0, -1.0, 0.0, 2.0, 5.0], ThresholdRule("hard", 2.0))
+    out = apply_threshold([-3.0, -1.0, 0.0, 2.0, 5.0], 2.0, soft=False)
     assert out.tolist() == [-3.0, 0.0, 0.0, 0.0, 5.0]  # |2| is not > 2
 
 
 def test_soft_threshold_hand_example():
-    out = apply_threshold([-3.0, -1.0, 0.0, 2.0, 5.0], ThresholdRule("soft", 2.0))
+    out = apply_threshold([-3.0, -1.0, 0.0, 2.0, 5.0], 2.0, soft=True)
     assert out.tolist() == [-1.0, 0.0, 0.0, 0.0, 3.0]
 
 
 def test_threshold_zero_is_identity():
     x = np.array([-2.5, 0.0, 7.0])
-    for kind in ("hard", "soft"):
-        np.testing.assert_array_equal(apply_threshold(x, ThresholdRule(kind, 0.0)), x)
+    for soft in (False, True):
+        np.testing.assert_array_equal(apply_threshold(x, 0.0, soft), x)
 
 
 def test_threshold_rule_validation():
-    with pytest.raises(ValueError):
-        ThresholdRule("medium", 1.0)
-    with pytest.raises(ValueError):
-        ThresholdRule("hard", -1.0)
+    for soft in (False, True):
+        with pytest.raises(ValueError, match="threshold must be non-negative"):
+            apply_threshold([1.0], -1.0, soft)
 
 
 @given(arrays(np.float64, 20, elements=st.floats(-50, 50)), st.floats(0, 10))
 def test_soft_threshold_is_contraction(x, t):
-    out = apply_threshold(x, ThresholdRule("soft", t))
+    out = apply_threshold(x, t, soft=True)
     assert np.all(np.abs(out) <= np.abs(x) + 1e-12)
     assert np.all(np.sign(out) * np.sign(x) >= 0)
 
@@ -114,34 +111,29 @@ def test_sure_never_exceeds_universal_cap():
 
 
 def test_band_stats_hand_example():
-    stats = band_stats([3.0, -3.0, 3.0, -3.0], sigma_n=0.0)
-    assert stats.sigma_w == 3.0
-    assert stats.sigma_s == 3.0
-    zero = band_stats(np.zeros(16), sigma_n=0.0)
-    assert zero.sigma_w == 0.0 and zero.sigma_s == 0.0
+    assert band_stats([3.0, -3.0, 3.0, -3.0], sigma_n=0.0) == 3.0
+    assert band_stats([5.0, -5.0, 5.0, -5.0], sigma_n=3.0) == 4.0  # sqrt(25 - 9)
+    assert band_stats(np.zeros(16), sigma_n=0.0) == 0.0
 
 
 def test_band_stats_pure_noise_has_no_signal():
     band = 4.0 * gaussian_field(8, (256, 256))
-    stats = band_stats(band, sigma_n=4.0)
-    assert stats.sigma_s < 0.4  # sigma_w^2 ~ sigma_n^2, residual is sampling error
+    assert band_stats(band, sigma_n=4.0) < 0.4  # sigma_w^2 ~ sigma_n^2, residual is sampling error
 
 
 def test_bayes_threshold_hand_example():
-    stats = BandStats(sigma_n=10.0, sigma_w=math.sqrt(500.0), sigma_s=20.0, n=4)
-    assert bayes_threshold(stats) == pytest.approx(5.0)
+    assert bayes_threshold(10.0, 20.0) == pytest.approx(5.0)
 
 
 def test_bayes_threshold_sentinels():
     no_signal = band_stats(np.full(8, 0.5), sigma_n=10.0)  # sigma_w < sigma_n
-    assert no_signal.sigma_s == 0.0
-    t = bayes_threshold(no_signal)
+    assert no_signal == 0.0
+    t = bayes_threshold(10.0, no_signal)
     assert math.isinf(t)
     # +inf soft threshold zeroes the whole band
-    zeroed = apply_threshold(np.array([1e6, -3.0]), ThresholdRule("soft", t))
+    zeroed = apply_threshold(np.array([1e6, -3.0]), t, soft=True)
     assert not zeroed.any()
-    clean = band_stats([3.0, -3.0], sigma_n=0.0)
-    assert bayes_threshold(clean) == 0.0
+    assert bayes_threshold(0.0, band_stats([3.0, -3.0], sigma_n=0.0)) == 0.0
 
 
 def _neigh_brute_force(band, t_u, window):
