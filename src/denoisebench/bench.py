@@ -60,7 +60,6 @@ class BenchConfig:
     trials: int = 5
     master_seed: int = 0
     save_images_dir: str | None = None
-    metrics_mode: str = "clamped"
     workers: int = 1
     # wall-clock time cannot be byte-identical across runs; disable to get
     # fully reproducible CSV bytes (runtime_ms column prints 0.000)
@@ -76,8 +75,6 @@ class BenchConfig:
         bad = [s for s in self.sigmas if not 0 < s < math.inf]
         if bad:
             raise ValueError(f"sigmas must be finite and positive, got {bad[0]:g}")
-        if self.metrics_mode not in ("clamped", "unclamped"):
-            raise ValueError(f"unknown metrics_mode {self.metrics_mode!r}")
         # inputs that share a cell key would share seeds and CSV labels
         _reject_shared_keys("image paths", self.image_paths, lambda p: Path(p).stem)
         _reject_shared_keys("sigmas", self.sigmas, lambda s: f"{s:g}")
@@ -138,7 +135,7 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
-        report = evaluate(clean, denoised, clamp=config.metrics_mode == "clamped")
+        report = evaluate(clean, denoised)
         if config.save_images_dir:
             out_dir = Path(config.save_images_dir)
             out_dir.mkdir(parents=True, exist_ok=True)

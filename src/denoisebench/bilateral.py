@@ -21,12 +21,14 @@ that untiled sum.
 
 Strips are independent, so a call made on the main thread spreads them over
 the k CPUs the process may use: lane i filters strips ``i, i + k, ...``,
-the calling thread runs lane 0, and lanes 1..k-1 run on a pool of one
-helper thread per other CPU that is created on first use, never on import
-(a forked child creates its own).  numpy releases the GIL inside each
+the calling thread runs lane 0, and lanes 1..k-1 run on helper threads
+that the call starts and joins before it returns or raises, so no thread
+outlives a call and a one-lane call starts none.  Starting and joining them
+costs a fraction of a millisecond, against ten or more milliseconds of
+filtering on any image that gets a second lane.  numpy releases the GIL inside each
 ufunc, so the lanes run in parallel.  A call made on any other thread uses
 one lane: ``bench run --workers N`` already fills the cores with one cell
-per pool thread, and nesting the helper pool under it made that sweep
+per pool thread, and nesting helper threads under it made that sweep
 slower.
 
 A strip costs about eight ufunc calls per window offset whatever its size,
@@ -61,9 +63,6 @@ __all__ = ["BilateralParams", "bilateral_filter"]
 # which fit in L2.
 _STRIP_LANES = 96 << 10
 
-# runs lanes 1..k-1 of main-thread calls; created by the first call that needs it
-_helpers = None
-
 
 def _cpu_count() -> int:
     """CPUs this process may run on."""
@@ -71,26 +70,6 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _helper_pool() -> "concurrent.futures.ThreadPoolExecutor":
-    global _helpers
-    if _helpers is None:
-        # sized for the widest call, not for the strips of the first one
-        _helpers = concurrent.futures.ThreadPoolExecutor(max(1, _cpu_count() - 1),
-                                                         thread_name_prefix="bilateral")
-    return _helpers
-
-
-def _drop_helpers() -> None:
-    global _helpers
-    _helpers = None
-
-
-# a forked child inherits the pool object but none of its threads, so lanes
-# submitted to it would never run
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_helpers)
 
 
 def _strips(h: int, pw: int, lanes: int) -> tuple[int, list[tuple[int, int]]]:
@@ -167,11 +146,10 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
                 out=out[r0:r1],
             )
 
-    helpers = [_helper_pool().submit(run_lane, lane) for lane in range(1, k)]
-    try:
+    with concurrent.futures.ThreadPoolExecutor(max(1, k - 1), thread_name_prefix="bilateral") as pool:
+        helpers = [pool.submit(run_lane, lane) for lane in range(1, k)]
         run_lane(0)
-    finally:
-        # wait for every lane before returning or raising; result() re-raises a lane's error
+        # result() re-raises a helper lane's error; leaving the block joins every lane
         for future in helpers:
             future.result()
     return out

@@ -59,17 +59,32 @@ def _method_name(raw: str) -> str:
     return name
 
 
+# the settings `bench run --config` reads; each may appear once per file
+_CONFIG_KEYS = ("images", "sigmas", "methods", "levels", "trials", "seed", "workers", "out",
+                "save_images")
+
+
 def _parse_config_file(path: str) -> dict[str, str]:
-    """Plain `key = value` lines; '#' starts a comment; flags override."""
+    """Plain `key = value` lines of `_CONFIG_KEYS`; '#' starts a comment; flags override."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:  # missing, unreadable or not text
+        raise SystemExit(f"bench run: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise SystemExit(f"bench: {path}:{lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, eq, value = line.partition("=")
+        key = key.strip()
+        where = f"bench run: {path}:{lineno}:"
+        if not eq:
+            raise SystemExit(f"{where} expected 'key = value'")
+        if key not in _CONFIG_KEYS:
+            raise SystemExit(f"{where} unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}")
+        if key in values:
+            raise SystemExit(f"{where} repeated key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -115,7 +130,6 @@ def _cmd_run(args) -> int:
     methods = setting(args.methods, "methods", ",".join(METHODS))
     out = setting(args.out, "out", "bench.csv")
     save_images = setting(args.save_images, "save_images", None)
-    metrics_mode = setting(args.metrics, "metrics", "clamped")
 
     try:
         levels = _integer("levels", setting(args.levels, "levels", 3))
@@ -130,7 +144,6 @@ def _cmd_run(args) -> int:
             trials=trials,
             master_seed=seed,
             save_images_dir=save_images,
-            metrics_mode=metrics_mode,
             workers=workers,
             record_runtime=not args.no_runtime,
         )
@@ -178,7 +191,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a benchmark sweep")
-    run.add_argument("--config", help="key = value config file; flags override")
+    run.add_argument("--config", help=f"key = value file of {', '.join(_CONFIG_KEYS)}; flags override")
     run.add_argument("--images", help="comma-separated PGM files and/or directories")
     run.add_argument("--sigmas", help="comma-separated noise std list (default 10,20,30,40,50)")
     run.add_argument("--methods", help=f"comma-separated subset of {','.join(METHODS)} (collab ok)")
@@ -187,7 +200,6 @@ def main(argv=None) -> int:
     run.add_argument("--seed", type=int, help="master seed (default 0)")
     run.add_argument("--out", help="per-trial CSV path (default bench.csv)")
     run.add_argument("--save-images", dest="save_images", help="dump denoised PGMs here")
-    run.add_argument("--metrics", choices=["clamped", "unclamped"], help="scoring mode")
     run.add_argument("--workers", type=int, help="concurrent cells (default 1)")
     run.add_argument("--no-runtime", action="store_true",
                      help="zero the runtime_ms column for byte-reproducible CSVs")

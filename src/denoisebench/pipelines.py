@@ -77,37 +77,23 @@ _SHRINKERS = {
 }
 
 
-def _shrink_level(level: int, details, sigma: float, shrink, band_log):
-    """Shrink one level's (lh, hl, hh) bands; `band_log` records each (level, band)."""
-    shrunk = []
-    for name, band in zip(("lh", "hl", "hh"), details):
-        if band_log is not None:
-            band_log.append((level, name))
-        shrunk.append(shrink(band, sigma))
-    return tuple(shrunk)
-
-
-def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
+def denoise(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.ndarray:
     """Run the configured method.  Output is not clamped.
 
     The noise std is `oracle_sigma` when given (the true sigma), else the
-    MAD estimate.  `band_log`, when given a list, records every (level,
-    band) that was thresholded, for instrumentation.
+    MAD estimate.
     """
     img = np.asarray(image, dtype=np.float64)
     if config.method == "bilateral":
         return bilateral_pass(img, _sigma(oracle_sigma, grid=img))
     if config.method == "collaborative":
-        return collaborative(img, config, oracle_sigma, band_log=band_log)
+        return collaborative(img, config, oracle_sigma)
     if config.method == "mrbf":
-        return mrbf(img, config, oracle_sigma, band_log=band_log)
+        return mrbf(img, config, oracle_sigma)
     pyramid = decompose(img, config.levels)
     sigma = _sigma(oracle_sigma, hh=pyramid.levels[0][2])
     shrink = _SHRINKERS[config.method]
-    levels = tuple(
-        _shrink_level(k, details, sigma, shrink, band_log)
-        for k, details in enumerate(pyramid.levels, start=1)
-    )
+    levels = tuple(tuple(shrink(band, sigma) for band in details) for details in pyramid.levels)
     return reconstruct(Pyramid(levels, pyramid.top_ll, pyramid.original_shape))
 
 
@@ -121,17 +107,17 @@ def bilateral_pass(grid, sigma: float) -> np.ndarray:
     return bilateral_filter(grid, replace(_BILATERAL, sigma_r=max(2.0 * sigma, 1e-6), window=window))
 
 
-def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
+def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.ndarray:
     """BayesShrink wavelet denoising followed by a bilateral pass.
 
     The bilateral range fall-off targets the residual noise, re-estimated on
     the Bayes output.
     """
-    stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma, band_log=band_log)
+    stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma)
     return bilateral_pass(stage1, _sigma(None, grid=stage1))
 
 
-def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_log=None) -> np.ndarray:
+def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.ndarray:
     """Multiresolution bilateral filter.
 
     Recursion over `levels`: bilateral-filter the current approximation (the
@@ -154,8 +140,7 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None, band_lo
         grid = bilateral_pass(grid, _sigma(oracle_sigma if level == 1 else None, grid=grid))
         bands = dwt2_haar(grid)
         sigma = _sigma(None, hh=bands.hh)
-        details = (bands.lh, bands.hl, bands.hh)
-        lh, hl, hh = _shrink_level(level, details, sigma, _SHRINKERS["bayes"], band_log)
+        lh, hl, hh = (_SHRINKERS["bayes"](band, sigma) for band in (bands.lh, bands.hl, bands.hh))
         if level == config.levels:
             ll = bilateral_pass(bands.ll, sigma)
         else:

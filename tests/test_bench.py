@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import denoisebench
-from denoisebench import bench
+from denoisebench import bench, bilateral
 from denoisebench.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -79,8 +79,6 @@ def test_config_validation(tmp_path):
         _tiny_config(tmp_path, trials=0)
     with pytest.raises(ValueError):
         _tiny_config(tmp_path, sigmas=())
-    with pytest.raises(ValueError):
-        _tiny_config(tmp_path, metrics_mode="raw")
 
 
 def test_config_rejects_image_paths_with_one_id(tmp_path):
@@ -177,11 +175,18 @@ def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing)
             assert g == w
 
 
-def test_run_benchmark_leaves_no_thread_behind(tmp_path):
+def test_run_benchmark_leaves_no_thread_behind(tmp_path, monkeypatch):
+    # a 256x256 bilateral cell on the calling thread filters on two lanes
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    big = tmp_path / "tex256.pgm"
+    save_pgm(texture_image(256), big)
     before = threading.active_count()
     run_benchmark(_tiny_config(tmp_path))
     run_benchmark(_tiny_config(tmp_path, workers=2))
+    run_benchmark(_tiny_config(tmp_path, image_paths=(str(big),), methods=("bilateral",),
+                               sigmas=(20.0,), trials=1))
     assert threading.active_count() == before
+    assert [t.name for t in threading.enumerate() if t.name.startswith("bilateral")] == []
 
 
 def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):
@@ -339,6 +344,34 @@ def test_cli_config_file_with_overrides(tmp_path):
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].split(",")[1] == "20"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a misspelt key would otherwise fall back to its default without a word
+    ("trails = 1\n", 3, "unknown key 'trails'; expected one of images, sigmas, methods, levels, "
+                         "trials, seed, workers, out, save_images"),
+    ("metrics = unclamped\n", 3, "unknown key 'metrics'; expected one of"),
+    ("# one trial\ntrials = 1\ntrials = 2\n", 5, "repeated key 'trials'"),
+    ("trials 1\n", 3, "expected 'key = value'"),
+], ids=["unknown", "stale-metrics", "repeated", "no-equals"])
+def test_cli_run_rejects_bad_config_line(tmp_path, text, line, message):
+    img = tmp_path / "in.pgm"
+    save_pgm(texture_image(64), img)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"images = {img}\nmethods = visu\n{text}")
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfg), "--sigmas", "10", "--out", str(out)])
+    assert exc.value.code.startswith(f"bench run: {cfg}:{line}: {message}")
+    assert "\n" not in exc.value.code
+    assert not out.exists()
+
+
+def test_cli_run_reports_missing_config_file_in_one_line(tmp_path):
+    cfg = tmp_path / "missing.cfg"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "run.csv")])
+    assert exc.value.code.startswith("bench run: ") and str(cfg) in exc.value.code
 
 
 def test_cli_denoise_single_shot(tmp_path):

@@ -233,24 +233,26 @@ def test_bit_identical_to_untiled_sum_narrow_widths(h, w, window, sigma_r, seed)
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
 
 
-class _SpyPool:
-    """Stands in for the helper pool: records each lane and runs it on a thread."""
-
-    def __init__(self):
-        self.lanes = []
-        self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=2)
-
-    def submit(self, fn, lane):
-        self.lanes.append(lane)
-        return self._pool.submit(fn, lane)
+# the real executor, for pools the tests start themselves while the filter's is patched
+_Executor = concurrent.futures.ThreadPoolExecutor
 
 
 @pytest.fixture
 def spy_pool(monkeypatch):
-    spy = _SpyPool()
-    monkeypatch.setattr(bilateral, "_helper_pool", lambda: spy)
-    yield spy
-    spy._pool.shutdown()
+    """The lanes each call hands to its helper threads, in order; the lanes still run."""
+    lanes = []
+
+    class SpyPool(_Executor):
+        def submit(self, fn, lane):
+            lanes.append(lane)
+            return super().submit(fn, lane)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    return lanes
+
+
+def _bilateral_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("bilateral")]
 
 
 def _strip_image(strips, seed=0):
@@ -268,7 +270,7 @@ def test_lanes_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores, strips
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
     # the caller runs lane 0; every other lane goes to the helpers.  One 7-row
     # strip is too small to share; every larger image fills each core.
-    assert spy_pool.lanes == list(range(1, cores if strips > 1 else 1))
+    assert spy_pool == list(range(1, cores if strips > 1 else 1))
 
 
 @pytest.mark.parametrize("cores", [2, 4])
@@ -277,7 +279,7 @@ def test_small_main_thread_call_stays_on_one_lane(monkeypatch, spy_pool, cores):
     img = np.random.default_rng(128).uniform(0.0, 255.0, (128, 128))
     params = BilateralParams()
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
-    assert spy_pool.lanes == []
+    assert spy_pool == []
 
 
 @pytest.mark.parametrize("cores", [2, 3])
@@ -310,21 +312,29 @@ def test_call_on_worker_thread_uses_one_lane(monkeypatch, spy_pool):
     # a sweep's pool threads already fill the cores
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
     img = _strip_image(3)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+    with _Executor(max_workers=1) as pool:
         got = pool.submit(bilateral_filter, img, BilateralParams()).result()
-    assert spy_pool.lanes == []
+    assert spy_pool == []
     assert np.array_equal(got, bilateral_filter(img, BilateralParams()))
-    assert spy_pool.lanes == [1]
+    assert spy_pool == [1]
 
 
-def test_pool_sized_for_every_cpu_not_the_first_call(monkeypatch):
-    # a first call with 2 strips must not leave later 3-lane calls one helper thread
+def test_main_thread_call_leaves_no_thread_behind(monkeypatch, spy_pool):
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    before = threading.active_count()
+    img = _strip_image(2)
+    assert np.array_equal(bilateral_filter(img, BilateralParams()),
+                          _shifted_sum_oracle(img, BilateralParams()))
+    assert spy_pool == [1]
+    assert threading.active_count() == before and _bilateral_threads() == []
+
+
+def test_three_lane_call_runs_its_helper_lanes_at_once(monkeypatch):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(bilateral, "_helpers", None)
     threads = {}
     meet = []
 
-    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    class RecordingPool(_Executor):
         def submit(self, fn, lane):
             def run(lane):
                 threads[lane] = threading.get_ident()
@@ -339,39 +349,36 @@ def test_pool_sized_for_every_cpu_not_the_first_call(monkeypatch):
     # at padded width 256 and window 3 the first image fills two lanes, the second three
     two, three = (np.random.default_rng(s).uniform(0.0, 255.0, (h, 254))
                   for s, h in ((0, 256), (1, 384)))
-    try:
-        assert np.array_equal(bilateral_filter(two, params), _shifted_sum_oracle(two, params))
-        assert list(threads) == [1]
-        meet.append(threading.Barrier(2, timeout=10))
-        assert np.array_equal(bilateral_filter(three, params), _shifted_sum_oracle(three, params))
-    finally:
-        if bilateral._helpers is not None:
-            bilateral._helpers.shutdown()
+    assert np.array_equal(bilateral_filter(two, params), _shifted_sum_oracle(two, params))
+    assert list(threads) == [1]
+    meet.append(threading.Barrier(2, timeout=10))
+    assert np.array_equal(bilateral_filter(three, params), _shifted_sum_oracle(three, params))
     assert sorted(threads) == [1, 2] and threads[1] != threads[2]
 
 
-def test_one_cpu_never_creates_the_pool(monkeypatch):
+def test_one_cpu_starts_no_thread(monkeypatch, spy_pool):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 1)
-    monkeypatch.setattr(bilateral, "_helpers", None)
+    before = threading.active_count()
     bilateral_filter(_strip_image(3), BilateralParams())
-    assert bilateral._helpers is None
+    assert spy_pool == []
+    assert threading.active_count() == before and _bilateral_threads() == []
 
 
 def test_helper_lane_error_reaches_the_caller(monkeypatch):
-    class FailingPool:
+    class FailingPool(_Executor):
         def submit(self, fn, lane):
             future = concurrent.futures.Future()
             future.set_exception(MemoryError(f"lane {lane}"))
             return future
 
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(bilateral, "_helper_pool", lambda: FailingPool())
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FailingPool)
     with pytest.raises(MemoryError, match="lane 1"):
         bilateral_filter(_strip_image(2), BilateralParams())
 
 
-# After one main-thread call has started the helper pool, fork and filter in
-# the child; the alarm ends a child whose lanes never run.
+# After one main-thread call on two lanes, fork and filter in the child; the
+# alarm ends a child whose lanes never run.
 _FORK_SCRIPT = """
 import os, signal
 import numpy as np
@@ -379,7 +386,6 @@ from denoisebench import bilateral
 bilateral._cpu_count = lambda: 2
 img = np.random.default_rng(0).uniform(0.0, 255.0, (200, 1014))
 want = bilateral.bilateral_filter(img, bilateral.BilateralParams())
-assert bilateral._helpers is not None
 pid = os.fork()
 if pid == 0:
     signal.alarm(20)
@@ -406,7 +412,7 @@ def test_forked_child_filters_with_its_own_helpers():
 def test_import_starts_no_thread():
     code = (
         "import threading, denoisebench, denoisebench.cli, denoisebench.bilateral as b; "
-        "assert threading.active_count() == 1 and b._helpers is None"
+        "assert threading.active_count() == 1"
     )
     result = _run_python(code)
     assert result.returncode == 0, result.stderr

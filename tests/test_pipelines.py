@@ -10,7 +10,7 @@ from denoisebench.metrics import psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
 from denoisebench.synth import texture_image
-from denoisebench.wavelet import dwt2_haar
+from denoisebench.wavelet import decompose, dwt2_haar
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +53,40 @@ def test_every_method_beats_doing_nothing(texture):
             assert float(np.mean(gains)) > 0, (method, sigma)
 
 
-def test_only_detail_bands_are_thresholded(noisy):
-    # every detail band of every level exactly once, finest level first
-    expected = [(k, b) for k in (1, 2, 3) for b in ("lh", "hl", "hh")]
-    for method in ("visu", "sure", "bayes", "neigh", "mrbf", "collaborative"):
-        log = []
-        denoise(noisy, MethodConfig(method=method, levels=3), band_log=log)
-        assert log == expected, method
+def test_only_detail_bands_are_thresholded(monkeypatch):
+    # 64x128: each level's bands have their own shape, so a band from another
+    # level cannot pass for the one expected
+    noisy = add_awgn(texture_image(128)[:64], NoiseModel(sigma=20.0, seed=9))
+    pyramid = decompose(noisy, 3)
+    details = [band for level in pyramid.levels for band in level]
+    assert [band.shape for band in details] == [(32, 64)] * 3 + [(16, 32)] * 3 + [(8, 16)] * 3
+    shrunk, splits = [], []
+
+    def shrinker(fn):
+        def spy(band, *args, **kwargs):
+            shrunk.append(band)
+            return fn(band, *args, **kwargs)
+        return spy
+
+    def split(grid, real=pipelines.dwt2_haar):
+        splits.append(real(grid))
+        return splits[-1]
+
+    monkeypatch.setattr(pipelines, "apply_threshold", shrinker(pipelines.apply_threshold))
+    monkeypatch.setattr(pipelines, "neigh_shrink", shrinker(pipelines.neigh_shrink))
+    monkeypatch.setattr(pipelines, "dwt2_haar", split)
+    for method in ("visu", "sure", "bayes", "neigh", "collaborative", "mrbf"):
+        shrunk.clear()
+        splits.clear()
+        denoise(noisy, MethodConfig(method=method, levels=3))
+        # every detail band of every level exactly once, finest level first
+        assert [band.shape for band in shrunk] == [band.shape for band in details], method
+        if method == "mrbf":
+            # the bands MRBF splits off its filtered approximations, never their LL
+            split_details = {id(band) for sb in splits for band in (sb.lh, sb.hl, sb.hh)}
+            assert all(id(band) in split_details for band in shrunk)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(shrunk, details)), method
 
 
 def test_visu_oracle_zero_sigma_is_identity(texture):
