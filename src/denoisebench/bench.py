@@ -137,10 +137,8 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
         report = evaluate(clean, denoised)
         if config.save_images_dir:
-            out_dir = Path(config.save_images_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
             name = f"{image_id}_s{sigma:g}_{mcfg.method}_t{trial}.pgm"
-            save_pgm(denoised, out_dir / name)
+            save_pgm(denoised, Path(config.save_images_dir) / name)
         return BenchRow(image_id, sigma, mcfg.method, mcfg.levels, trial, seed,
                         report.mse, report.rmse, report.mae, report.psnr_db, report.uqi,
                         runtime_ms)
@@ -164,6 +162,9 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
             loaded[image_id] = images[path]
         else:
             loaded[image_id] = load_pgm(path)
+    if config.save_images_dir:
+        # an unusable directory stops the sweep here, not in every cell
+        Path(config.save_images_dir).mkdir(parents=True, exist_ok=True)
 
     cells = [
         (image_id, clean, sigma, mcfg, trial)

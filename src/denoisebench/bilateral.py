@@ -43,11 +43,45 @@ gains, so images below about 220x220 stay on one lane.  Each strip sees the
 same operations in the same order whichever lane runs it and however the
 rows are cut, so the output depends on neither.  Extra memory is one padded
 copy of the image plus k sets of three buffers of one strip's lanes
-(``num``, ``den``, ``buf``), allocated once per call on the calling thread,
-instead of about six full-image temporaries.
+(``num``, ``den``, ``buf``), and two bool buffers on a clamped pass (below),
+allocated once per call on the calling thread, instead of about six
+full-image temporaries.
+
+At a tiny ``sigma_r``, such as the 1e-6 floor of the collaborative pass,
+most exponents fall below -708.4, where ``np.exp`` leaves its vector path
+and takes about ten times as long per element.  On such a pass every
+exponent is clamped at -700 (``np.maximum``) before ``np.exp``, which keeps
+every operation a plain vector ufunc.  The clamp is used only where it
+provably leaves the output bit-identical, as checked once per call on the
+calling thread from the image's extremes ``lo`` and ``hi``, with no
+image-sized temporary: ``lo > 0``, ``lo^2 / (2 sigma_r^2) > 700`` (every
+difference that keeps a weight is smaller than the darkest pixel),
+``hi < 2^60 lo``, ``(hi - lo)^2 / (2 sigma_r^2) + 2 half^2 / (2 sigma_d^2)
+> 700`` (some exponent can reach the clamp), and fewer than 2^30 window
+offsets before the centre tap.  NaN, infinite, zero or negative pixels, and
+a wider range, keep the unclamped path.  On the offsets before the centre
+tap, a clamped strip also checks that no exponent lies in [-700, -600); if
+one does, the strip is summed again without the clamp.  Why the output
+cannot change:
+
+- every pixel lies in [lo, hi] with lo > 0, so every term of ``num`` and
+  ``den`` is >= 0;
+- an exponent at or above -700 keeps its weight bit for bit; a clamped one
+  adds exp(-700), about 1e-304, where the unclamped sum added a value of at
+  most about that;
+- before the centre tap, the check makes every unclamped term of a lane at
+  least e^-600 (times lo in ``num``).  That is more than 2^54 times what
+  the clamped terms before it can sum to (at most 2^30 * e^-700 * hi, with
+  hi < 2^60 lo; 60 terms at window 11), so both sums round to exactly that
+  term; after it, each clamped term is under half an ulp of the sum and
+  changes neither;
+- the centre tap adds exactly 1 to ``den`` and its pixel (>= lo) to
+  ``num``, and the same absorption holds from there on, so ``num``,
+  ``den`` and the output match the unclamped sum bit for bit.
 """
 
 import concurrent.futures
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -62,6 +96,12 @@ __all__ = ["BilateralParams", "bilateral_filter"]
 # on a 512x512 or larger image runs about 15% slower than with 32 Ki strips,
 # which fit in L2.
 _STRIP_LANES = 96 << 10
+
+# exponents are clamped at _CLAMP, above the -708.4 where np.exp leaves its
+# vector path; a weight of at least exp(_ABSORB) absorbs every clamped term
+# (see module docs)
+_CLAMP = -700.0
+_ABSORB = -600.0
 
 
 def _cpu_count() -> int:
@@ -82,6 +122,26 @@ def _strips(h: int, pw: int, lanes: int) -> tuple[int, list[tuple[int, int]]]:
     return k, [(i * h // n, (i + 1) * h // n) for i in range(n)]
 
 
+def _inv_2s2(sigma: float) -> float:
+    """The factor 1 / (2 sigma^2) of a squared distance in an exponent."""
+    return 1.0 / (2.0 * sigma**2)
+
+
+def _clamp_is_exact(img: np.ndarray, half: int, inv_2sd2: float, inv_2sr2: float) -> bool:
+    """Whether clamping exponents at _CLAMP can pay and leaves the output as it is."""
+    # fewer than 2^30 offsets before the centre tap
+    if (2 * half + 1) ** 2 > 2**31:
+        return False
+    lo = float(img.min())
+    # every difference that keeps a weight is smaller than the darkest pixel
+    if not (lo > 0.0 and lo * lo * inv_2sr2 > -_CLAMP):
+        return False
+    hi = float(img.max())
+    spread = hi - lo
+    # pixels within 2^60 of each other, and some exponent that reaches the clamp
+    return hi < lo * 2.0**60 and spread * spread * inv_2sr2 + 2 * half * half * inv_2sd2 > -_CLAMP
+
+
 @dataclass(frozen=True)
 class BilateralParams:
     """Spatial fall-off (pixels), range fall-off (luminance), window side."""
@@ -93,6 +153,14 @@ class BilateralParams:
     def __post_init__(self):
         if not self.sigma_d > 0 or not self.sigma_r > 0:
             raise ValueError("sigma_d and sigma_r must be positive")
+        for name, sigma in (("sigma_d", self.sigma_d), ("sigma_r", self.sigma_r)):
+            # inf gives a constant weight; a finite sigma must keep 1 / (2 sigma^2) finite and nonzero
+            try:
+                usable = sigma == math.inf or 0.0 < _inv_2s2(sigma) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                usable = False
+            if not usable:
+                raise ValueError(f"{name} = {sigma!r} is out of range: 1 / (2 {name}^2) overflows or is 0")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError(f"window must be odd and positive, got {self.window}")
 
@@ -105,40 +173,64 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
         raise ValueError(f"window {params.window} too large for image shape {img.shape}")
     half = params.window // 2
     padded = np.pad(img, half, mode="reflect")
-    inv_2sd2 = 1.0 / (2.0 * params.sigma_d**2)
-    inv_2sr2 = 1.0 / (2.0 * params.sigma_r**2)
+    inv_2sd2 = _inv_2s2(params.sigma_d)
+    inv_2sr2 = _inv_2s2(params.sigma_r)
+    clamp = _clamp_is_exact(img, half, inv_2sd2, inv_2sr2)
     out = np.empty_like(img)
     pw = w + 2 * half
     flat = padded.ravel()
     # only a main-thread call fans out: a sweep's pool threads already fill the cores
     on_main = threading.current_thread() is threading.main_thread()
     k, strips = _strips(h, pw, _cpu_count() if on_main else 1)
-    lane_bufs = np.empty((k, 3, -(-h // len(strips)) * pw))
+    strip_lanes = -(-h // len(strips)) * pw
+    lane_bufs = np.empty((k, 3, strip_lanes))
+    lane_flags = np.empty((k, 2, strip_lanes if clamp else 0), dtype=bool)
+
+    def sum_window(lane: int, start: int, n: int, clamped: bool) -> bool:
+        """Sum the window of the n lanes from `start` into the lane's num and den.
+
+        With `clamped`, exponents are clamped at _CLAMP, and the sum stops and
+        returns False at an exponent in [_CLAMP, _ABSORB) before the centre
+        tap (see module docs).
+        """
+        acc_num, acc_den, tmp = lane_bufs[lane, :, :n]
+        below, above = lane_flags[lane, :, :n]
+        center = flat[start : start + n]
+        acc_num.fill(0.0)
+        acc_den.fill(0.0)
+        # accumulate one shifted run of lanes per window offset
+        for dy in range(-half, half + 1):
+            for dx in range(-half, half + 1):
+                shift = start + dy * pw + dx
+                shifted = flat[shift : shift + n]
+                # weight = exp(-d^2 / (2 sigma_d^2) - (shifted - center)^2 / (2 sigma_r^2))
+                np.subtract(shifted, center, out=tmp)
+                np.square(tmp, out=tmp)
+                np.multiply(tmp, inv_2sr2, out=tmp)
+                np.subtract(-(dy * dy + dx * dx) * inv_2sd2, tmp, out=tmp)
+                if clamped:
+                    if (dy, dx) < (0, 0):
+                        np.less(tmp, _ABSORB, out=below)
+                        np.greater_equal(tmp, _CLAMP, out=above)
+                        below &= above
+                        if below.any():
+                            return False
+                    np.maximum(tmp, _CLAMP, out=tmp)
+                np.exp(tmp, out=tmp)
+                acc_den += tmp
+                tmp *= shifted
+                acc_num += tmp
+        return True
 
     def run_lane(lane: int) -> None:
-        num, den, buf = lane_bufs[lane]
+        num, den, _ = lane_bufs[lane]
         for r0, r1 in strips[lane::k]:
             m = r1 - r0
             n = (m - 1) * pw + w
             start = (r0 + half) * pw + half
-            center = flat[start : start + n]
-            acc_num, acc_den, tmp = num[:n], den[:n], buf[:n]
-            acc_num.fill(0.0)
-            acc_den.fill(0.0)
-            # accumulate one shifted run of lanes per window offset
-            for dy in range(-half, half + 1):
-                for dx in range(-half, half + 1):
-                    shift = start + dy * pw + dx
-                    shifted = flat[shift : shift + n]
-                    # weight = exp(-d^2 / (2 sigma_d^2) - (shifted - center)^2 / (2 sigma_r^2))
-                    np.subtract(shifted, center, out=tmp)
-                    np.square(tmp, out=tmp)
-                    np.multiply(tmp, inv_2sr2, out=tmp)
-                    np.subtract(-(dy * dy + dx * dx) * inv_2sd2, tmp, out=tmp)
-                    np.exp(tmp, out=tmp)
-                    acc_den += tmp
-                    tmp *= shifted
-                    acc_num += tmp
+            # a strip the clamp might change is summed again without it
+            if not (clamp and sum_window(lane, start, n, True)):
+                sum_window(lane, start, n, False)
             # drop the border lanes between rows
             np.divide(
                 num[: m * pw].reshape(m, pw)[:, :w],

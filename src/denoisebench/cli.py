@@ -147,7 +147,12 @@ def _cmd_run(args) -> int:
             workers=workers,
             record_runtime=not args.no_runtime,
         )
-        # an unreadable or malformed input image stops the sweep before any cell runs
+        # an unusable output location, or an unreadable or malformed input
+        # image, stops the sweep before any cell runs
+        if Path(out).is_dir():
+            raise ValueError(f"output {out!r} is a directory")
+        if not Path(out).parent.is_dir():
+            raise ValueError(f"parent of output {out!r} is not a directory")
         rows = run_benchmark(config)
         write_csv(rows, out)
         stem = Path(out).with_suffix("")

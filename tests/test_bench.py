@@ -508,6 +508,39 @@ def test_cli_denoise_reports_unreadable_image_in_one_line(tmp_path, make_image, 
     assert not out.exists()
 
 
+def test_save_images_dir_is_made_and_holds_every_cell(tmp_path):
+    out_dir = tmp_path / "a" / "b"
+    rows = run_benchmark(_tiny_config(tmp_path, save_images_dir=str(out_dir), workers=2))
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        f"tex64_s{r.sigma:g}_{r.method}_t{r.trial}.pgm" for r in rows)
+
+
+@pytest.mark.parametrize("out, save_images, message", [
+    ("{d}/missing/run.csv", None, "parent of output '{d}/missing/run.csv' is not a directory"),
+    ("{d}/file/run.csv", None, "parent of output '{d}/file/run.csv' is not a directory"),
+    ("{d}", None, "output '{d}' is a directory"),
+    ("{d}/run.csv", "{d}/file/sub", "Not a directory"),
+], ids=["missing-parent", "file-parent", "directory", "save-images-under-file"])
+def test_cli_run_rejects_unusable_output_before_any_cell(tmp_path, monkeypatch, out, save_images,
+                                                         message):
+    img = tmp_path / "a.pgm"
+    save_pgm(texture_image(64), img)
+    (tmp_path / "file").write_text("")
+
+    def no_cell(*args, **kwargs):
+        pytest.fail("a cell ran")
+
+    monkeypatch.setattr(bench, "denoise", no_cell)
+    argv = ["run", "--images", str(img), "--sigmas", "10", "--methods", "visu", "--trials", "1",
+            "--levels", "2", "--out", out.format(d=tmp_path)]
+    if save_images:
+        argv += ["--save-images", save_images.format(d=tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code.startswith("bench run: ") and "\n" not in exc.value.code
+    assert message.format(d=tmp_path) in exc.value.code
+
+
 def test_unreadable_image_exits_with_status_1(tmp_path):
     src = str(Path(denoisebench.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

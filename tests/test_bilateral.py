@@ -1,6 +1,7 @@
 """Bilateral filter: identities, Gaussian-blur limit, edge preservation, lanes."""
 
 import concurrent.futures
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -83,6 +84,15 @@ def test_params_validation():
         BilateralParams(window=4)
 
 
+@pytest.mark.parametrize("sigmas", [{"sigma_r": 1e-200}, {"sigma_d": 1e-170}, {"sigma_r": 1e200},
+                                    {"sigma_d": 1e-155}, {"sigma_r": 1e154}])
+def test_params_reject_sigma_whose_inverse_square_overflows_or_vanishes(sigmas):
+    # 1 / (2 sigma^2) would be inf (or raise) or 0; an infinite sigma stays allowed
+    with pytest.raises(ValueError, match="out of range"):
+        BilateralParams(**sigmas)
+    BilateralParams(sigma_d=math.inf, sigma_r=math.inf)
+
+
 def test_window_too_large_rejected():
     with pytest.raises(ValueError):
         bilateral_filter(np.zeros((4, 4)), BilateralParams(window=11))
@@ -145,8 +155,16 @@ def test_shift_equivariance(img, offset):
         # several strips of unequal heights
         ((200, 1024), BilateralParams()),
         ((170, 1200), BilateralParams(sigma_d=2.5, sigma_r=30.0, window=7)),
-        # the range floor the collaborative pass hits
+        # the range floor the collaborative pass hits; this image's darkest
+        # pixel is too dark for the exponent clamp (see module docs)
         ((170, 1200), BilateralParams(sigma_r=1e-6)),
+        # clamped floor passes: with sigma_d 0.15 the spatial term alone
+        # passes -700 at the window's corners
+        ((200, 1024), BilateralParams(sigma_r=1e-6)),
+        ((200, 1024), BilateralParams(sigma_d=0.15, sigma_r=1e-6)),
+        # a clamped pass whose strip meets an exponent in [-700, -600) before
+        # the centre tap and is summed again without the clamp
+        ((60, 300), BilateralParams(sigma_r=1e-4)),
         # largest allowed window, 2 * min(h, w) - 1
         ((9, 13), BilateralParams(window=17)),
         ((5, 300), BilateralParams(window=9)),
@@ -172,6 +190,37 @@ def test_bit_identical_on_integer_image(shape, window):
     img = np.random.default_rng(sum(shape)).integers(0, 4, shape).astype(np.float64)
     params = BilateralParams(sigma_r=1e-6, window=window)
     assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+
+
+def test_floor_pass_keeps_exp_on_its_vector_path(monkeypatch):
+    # below -708.4 np.exp leaves its vector path; the clamp stops every exponent at -700
+    img = np.random.default_rng(41).uniform(1.0, 255.0, (200, 1024))
+    params = BilateralParams(sigma_r=1e-6)
+    want = _shifted_sum_oracle(img, params)
+    lowest = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        lowest.append(float(np.min(x)))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = bilateral_filter(img, params)
+    monkeypatch.undo()
+    assert lowest and min(lowest) >= -700.0
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("pixel", [0.0, -1.0, np.nan, np.inf, 1e300])
+def test_floor_pass_with_unclampable_pixel_bit_identical_to_untiled_sum(pixel):
+    # one pixel that turns the exponent clamp off (see module docs)
+    img = np.random.default_rng(43).uniform(1.0, 255.0, (60, 300))
+    img[17, 123] = pixel
+    params = BilateralParams(sigma_r=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = bilateral_filter(img, params)
+        want = _shifted_sum_oracle(img, params)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_strip_height_covers_multi_strip_cases():
@@ -299,6 +348,10 @@ def test_lanes_bit_identical_on_tall_narrow_image(monkeypatch, cores):
     st.integers(0, 2**32 - 1),
     st.integers(1, 4),
 )
+# clamped floor passes on one, two and three lanes
+@example(600, 400, 7, 1e-6, 0, 1)
+@example(600, 400, 7, 1e-6, 1, 2)
+@example(600, 400, 7, 1e-6, 2, 3)
 def test_lanes_bit_identical_to_untiled_sum_random_shapes(h, w, window, sigma_r, seed, cores):
     params = BilateralParams(sigma_r=sigma_r, window=min(window, 2 * min(h, w) - 1))
     img = np.random.default_rng(seed).uniform(0.0, 255.0, (h, w))
