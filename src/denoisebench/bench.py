@@ -207,72 +207,53 @@ def write_csv(rows: list[BenchRow], path) -> None:
     """Write the per-trial CSV; metric values keep full precision.
 
     ``runtime_ms`` is excluded from determinism comparisons by nature; it is
-    still printed for profiling.
+    still printed for profiling.  An image id holding a comma, a quote or a
+    line break is quoted, so every row keeps its 12 fields.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        # with LF line ends, csv.writer on Python 3.11 leaves a CR unquoted for a reader to split at
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(CSV_HEADER.split(","))
         for r in rows:
-            fh.write(",".join([
-                r.image_id, f"{r.sigma:g}", r.method, str(r.levels), str(r.trial),
-                str(r.seed), _fmt(r.mse), _fmt(r.rmse), _fmt(r.mae),
-                _fmt(r.psnr_db), _fmt(r.uqi), f"{r.runtime_ms:.3f}",
-            ]) + "\n")
+            (quote_all if "\r" in r.image_id else writer).writerow([
+                r.image_id, f"{r.sigma:g}", r.method, r.levels, r.trial, r.seed, _fmt(r.mse),
+                _fmt(r.rmse), _fmt(r.mae), _fmt(r.psnr_db), _fmt(r.uqi), f"{r.runtime_ms:.3f}"])
 
 
-def summarize(rows: list[BenchRow]) -> dict:
-    """Mean PSNR/UQI of the cells that succeeded, per method and per (method, sigma).
+def summarize(rows: list[BenchRow]) -> list[tuple]:
+    """The summary CSV's rows ``(method, sigma, mean_psnr_db, mean_uqi, n_ok, n_failed)``.
 
-    A failed cell (NaN scores) is counted, not averaged, so a mean is NaN
-    only where every cell failed.  Returns {"methods": [...], "sigmas": [...],
-    "psnr": {(method, sigma): mean}, "uqi": {...}, "n_ok": {...: count},
-    "n_failed": {...}}, plus the same four keyed by method under
-    "psnr_by_method", "uqi_by_method", "n_ok_by_method" and "n_failed_by_method".
+    One row per (method, sigma), methods sorted and then sigmas sorted, then
+    one per method with sigma ``"all"``.  A failed cell (NaN scores) is
+    counted, not averaged, so a mean is NaN only where every cell failed.
     """
     if not rows:
         raise ValueError("no rows to summarize")
-    cells: dict[tuple[str, float], list[BenchRow]] = {}
-    by_method: dict[str, list[BenchRow]] = {}
-    for r in rows:
-        cells.setdefault((r.method, r.sigma), []).append(r)
-        by_method.setdefault(r.method, []).append(r)
 
-    def mean(ok: list[BenchRow], field: str) -> float:
-        return float(np.mean([getattr(r, field) for r in ok])) if ok else math.nan
+    def summary_row(method, sigma, group: list[BenchRow]) -> tuple:
+        ok = [r for r in group if not math.isnan(r.psnr_db)]
+        means = [float(np.mean([getattr(r, f) for r in ok])) if ok else math.nan
+                 for f in ("psnr_db", "uqi")]
+        return (method, sigma, *means, len(ok), len(group) - len(ok))
 
-    summary = {"methods": sorted(by_method), "sigmas": sorted({r.sigma for r in rows})}
-    for suffix, groups in (("", cells), ("_by_method", by_method)):
-        ok = {k: [r for r in group if not math.isnan(r.psnr_db)] for k, group in groups.items()}
-        summary["psnr" + suffix] = {k: mean(v, "psnr_db") for k, v in ok.items()}
-        summary["uqi" + suffix] = {k: mean(v, "uqi") for k, v in ok.items()}
-        summary["n_ok" + suffix] = {k: len(v) for k, v in ok.items()}
-        summary["n_failed" + suffix] = {k: len(groups[k]) - len(v) for k, v in ok.items()}
-    return summary
+    methods = sorted({r.method for r in rows})
+    sigmas = sorted({r.sigma for r in rows})
+    return ([summary_row(m, s, [r for r in rows if r.method == m and r.sigma == s])
+             for m in methods for s in sigmas]
+            + [summary_row(m, "all", [r for r in rows if r.method == m]) for m in methods])
 
 
 def write_summary(rows: list[BenchRow], csv_path, table_path) -> None:
-    """Write the aggregate CSV and a gnuplot-ready whitespace table.
-
-    The CSV has one row per (method, sigma) and one per method, each with the
-    means of the cells that succeeded and the counts of cells that succeeded
-    and failed.  The table has one row per sigma and one mean-PSNR column per
-    method.
-    """
+    """Write the `summarize` rows as CSV, and a gnuplot table of mean PSNR (sigma x method)."""
     summary = summarize(rows)
-    methods, sigmas = summary["methods"], summary["sigmas"]
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "sigma", "mean_psnr_db", "mean_uqi", "n_ok", "n_failed"])
-        for m in methods:
-            for s in sigmas:
-                key = (m, s)
-                writer.writerow([m, f"{s:g}", _fmt(summary["psnr"][key]), _fmt(summary["uqi"][key]),
-                                 summary["n_ok"][key], summary["n_failed"][key]])
-        for m in methods:
-            writer.writerow([m, "all", _fmt(summary["psnr_by_method"][m]),
-                             _fmt(summary["uqi_by_method"][m]),
-                             summary["n_ok_by_method"][m], summary["n_failed_by_method"][m]])
+        writer.writerows([m, s if s == "all" else f"{s:g}", _fmt(psnr), _fmt(uqi), n_ok, n_failed]
+                         for m, s, psnr, uqi, n_ok, n_failed in summary)
+    table = [(s, f"{psnr:.4f}") for m, s, psnr, *_ in summary if s != "all"]
     with open(table_path, "w") as fh:
-        fh.write("# sigma " + " ".join(methods) + "\n")
-        for s in sigmas:
-            cells = " ".join(f"{summary['psnr'][(m, s)]:.4f}" for m in methods)
-            fh.write(f"{s:g} {cells}\n")
+        fh.write("# sigma " + " ".join(m for m, s, *_ in summary if s == "all") + "\n")
+        for sigma in sorted({s for s, _ in table}):
+            fh.write(f"{sigma:g} " + " ".join(p for s, p in table if s == sigma) + "\n")

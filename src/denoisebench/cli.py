@@ -7,13 +7,7 @@ import math
 import sys
 from pathlib import Path
 
-from denoisebench.bench import (
-    BenchConfig,
-    DEFAULT_SIGMAS,
-    run_benchmark,
-    write_csv,
-    write_summary,
-)
+from denoisebench.bench import BenchConfig, run_benchmark, write_csv, write_summary
 from denoisebench.imagecore import load_pgm, save_pgm
 from denoisebench.pipelines import METHODS, MethodConfig, denoise
 from denoisebench.synth import default_set, texture_image
@@ -116,34 +110,24 @@ def _integer(key: str, value) -> int:
 
 
 def _cmd_run(args) -> int:
-    file_values = _parse_config_file(args.config) if args.config else {}
-
-    def setting(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_values.get(key, default)
-
-    images = setting(args.images, "images", None)
-    if images is None:
+    settings = _parse_config_file(args.config) if args.config else {}
+    settings.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
+    if "images" not in settings:
         raise SystemExit("bench run: no input images (use --images or 'images =' in the config)")
-    sigmas = setting(args.sigmas, "sigmas", "10,20,30,40,50")
-    methods = setting(args.methods, "methods", ",".join(METHODS))
-    out = setting(args.out, "out", "bench.csv")
-    save_images = setting(args.save_images, "save_images", None)
-
+    out = settings.get("out", "bench.csv")
     try:
-        levels = _integer("levels", setting(args.levels, "levels", 3))
-        trials = _integer("trials", setting(args.trials, "trials", 5))
-        seed = _integer("seed", setting(args.seed, "seed", 0))
-        workers = _integer("workers", setting(args.workers, "workers", 1))
+        levels = _integer("levels", settings.get("levels", 3))
+        trials = _integer("trials", settings.get("trials", 5))
+        seed = _integer("seed", settings.get("seed", 0))
+        workers = _integer("workers", settings.get("workers", 1))
         config = BenchConfig(
-            image_paths=tuple(_collect_images(images)),
-            sigmas=tuple(float(s) for s in str(sigmas).split(",")),
+            image_paths=tuple(_collect_images(settings["images"])),
+            sigmas=tuple(float(s) for s in settings.get("sigmas", "10,20,30,40,50").split(",")),
             methods=tuple(MethodConfig(method=_method_name(m.strip()), levels=levels)
-                          for m in methods.split(",")),
+                          for m in settings.get("methods", ",".join(METHODS)).split(",")),
             trials=trials,
             master_seed=seed,
-            save_images_dir=save_images,
+            save_images_dir=settings.get("save_images"),
             workers=workers,
             record_runtime=not args.no_runtime,
         )
@@ -169,10 +153,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     images = {**default_set(), "texture512": texture_image(512)}
-    for name, image in images.items():
-        save_pgm(image, out_dir / f"{name}.pgm")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, image in images.items():
+            save_pgm(image, out_dir / f"{name}.pgm")
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bench synth: {exc}") from None
     print(f"bench: wrote {len(images)} synthetic images to {out_dir}")
     return 0
 

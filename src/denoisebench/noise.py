@@ -32,6 +32,7 @@ The field can be written into an array the caller allocated (``out``), so a
 thread that only generates noise holds no image-sized memory of its own.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,13 @@ class NoiseModel:
     seed: int
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 

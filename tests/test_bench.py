@@ -1,5 +1,6 @@
 """Benchmark harness: seed derivation, CSV output, determinism, summaries."""
 
+import csv
 import math
 import os
 import platform
@@ -203,11 +204,17 @@ def test_summarize_means():
     def row(method, sigma, psnr):
         return BenchRow("img", sigma, method, 3, 1, 0, 1.0, 1.0, 1.0, psnr, 0.5, 0.0)
 
-    rows = [row("visu", 10.0, 30.0), row("visu", 10.0, 32.0), row("bayes", 10.0, 35.0)]
-    summary = summarize(rows)
-    assert summary["psnr"][("visu", 10.0)] == 31.0
-    assert summary["psnr_by_method"]["bayes"] == 35.0
-    assert sum(len([r for r in rows if r.method == m]) for m in summary["methods"]) == len(rows)
+    rows = [row("visu", 20.0, 40.0), row("visu", 10.0, 30.0), row("bayes", 20.0, 37.0),
+            row("visu", 10.0, 32.0), row("bayes", 10.0, 35.0)]
+    # (method, sigma) rows, methods then sigmas sorted, then one "all" row per method
+    assert summarize(rows) == [
+        ("bayes", 10.0, 35.0, 0.5, 1, 0),
+        ("bayes", 20.0, 37.0, 0.5, 1, 0),
+        ("visu", 10.0, 31.0, 0.5, 2, 0),
+        ("visu", 20.0, 40.0, 0.5, 1, 0),
+        ("bayes", "all", 36.0, 0.5, 2, 0),
+        ("visu", "all", 34.0, 0.5, 3, 0),
+    ]
     with pytest.raises(ValueError):
         summarize([])
 
@@ -220,14 +227,13 @@ def test_summarize_averages_only_cells_that_succeeded():
 
     rows = [row("visu", 30.0, 0.25), row("visu", nan, nan), row("visu", 32.0, 0.75),
             row("bayes", nan, nan)]
-    summary = summarize(rows)
-    assert summary["psnr"][("visu", 10.0)] == summary["psnr_by_method"]["visu"] == 31.0
-    assert summary["uqi"][("visu", 10.0)] == 0.5
-    assert summary["n_ok"][("visu", 10.0)] == summary["n_ok_by_method"]["visu"] == 2
-    assert summary["n_failed"][("visu", 10.0)] == summary["n_failed_by_method"]["visu"] == 1
+    bayes, visu, bayes_all, visu_all = summarize(rows)
+    assert visu == ("visu", 10.0, 31.0, 0.5, 2, 1)
+    assert visu_all == ("visu", "all", 31.0, 0.5, 2, 1)
     # NaN only where every cell failed
-    assert np.isnan(summary["psnr"][("bayes", 10.0)]) and np.isnan(summary["uqi_by_method"]["bayes"])
-    assert summary["n_ok_by_method"]["bayes"] == 0 and summary["n_failed"][("bayes", 10.0)] == 1
+    assert bayes[:2] == ("bayes", 10.0) and bayes_all[:2] == ("bayes", "all")
+    for _, _, psnr, uqi, n_ok, n_failed in (bayes, bayes_all):
+        assert math.isnan(psnr) and math.isnan(uqi) and (n_ok, n_failed) == (0, 1)
 
 
 def test_write_summary_files(tmp_path):
@@ -266,6 +272,15 @@ def test_cli_run_and_synth(tmp_path, capsys):
     for path in (out_csv, tmp_path / "run_summary.csv", tmp_path / "run_plot.dat"):
         data = path.read_bytes()
         assert data.endswith(b"\n") and b"\r" not in data, path.name
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"], ids=["regular-file", "under-a-file"])
+def test_cli_synth_reports_unusable_out_in_one_line(tmp_path, out):
+    (tmp_path / "file").write_text("")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["synth", "--out", str(tmp_path / out)])
+    assert exc.value.code.startswith("bench synth: ") and "\n" not in exc.value.code
+    assert str(tmp_path / out) in exc.value.code
 
 
 @pytest.mark.parametrize("method", ["bayes", "collaborative"])
@@ -344,6 +359,30 @@ def test_cli_config_file_with_overrides(tmp_path):
     rows = out_csv.read_text().splitlines()
     assert len(rows) == 2
     assert rows[1].split(",")[1] == "20"
+    # flags override the file's sigmas and levels too
+    rc = cli_main(["run", "--config", str(cfg), "--out", str(out_csv), "--sigmas", "30",
+                   "--levels", "1", "--no-runtime"])
+    assert rc == 0
+    fields = out_csv.read_text().splitlines()[1].split(",")
+    assert (fields[1], fields[2], fields[3]) == ("30", "visu", "1")
+
+
+def test_cli_run_quotes_image_ids_that_would_split_a_row(tmp_path):
+    images = tmp_path / "images"
+    images.mkdir()
+    ids = ["a,b", 'q"t', "c\rr", "l\nf"]
+    for seed, image_id in enumerate(ids):
+        save_pgm(texture_image(64, seed=seed), images / f"{image_id}.pgm")
+    out_csv = tmp_path / "ids.csv"
+    rc = cli_main(["run", "--images", str(images), "--sigmas", "10", "--methods", "visu,bilateral",
+                   "--trials", "1", "--levels", "2", "--out", str(out_csv), "--no-runtime"])
+    assert rc == 0
+    with open(out_csv, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == CSV_HEADER.split(",")
+    assert [len(row) for row in table] == [12] * 9
+    assert sorted(row[0] for row in table[1:]) == sorted(ids * 2)
+    assert all(float(row[9]) > 0 for row in table[1:])
 
 
 @pytest.mark.parametrize("text, line, message", [

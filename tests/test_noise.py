@@ -135,6 +135,13 @@ def test_noise_model_validation():
         NoiseModel(sigma=10.0, seed=-1)
     with pytest.raises(ValueError):
         NoiseModel(sigma=10.0, seed=2**64)
+    # an infinite sigma gives an image of +-inf; a fractional seed would be truncated
+    with pytest.raises(ValueError, match="finite"):
+        NoiseModel(sigma=np.inf, seed=1)
+    with pytest.raises(ValueError, match="integer"):
+        NoiseModel(sigma=10.0, seed=1.5)
+    # numpy integers are integers
+    NoiseModel(sigma=10.0, seed=np.uint64(2**64 - 1))
 
 
 def test_add_awgn_moments_on_constant_image():
