@@ -195,14 +195,6 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
     return rows
 
 
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf"
-    return f"{value:.17g}"
-
-
 def write_csv(rows: list[BenchRow], path) -> None:
     """Write the per-trial CSV; metric values keep full precision.
 
@@ -217,8 +209,9 @@ def write_csv(rows: list[BenchRow], path) -> None:
         writer.writerow(CSV_HEADER.split(","))
         for r in rows:
             (quote_all if "\r" in r.image_id else writer).writerow([
-                r.image_id, f"{r.sigma:g}", r.method, r.levels, r.trial, r.seed, _fmt(r.mse),
-                _fmt(r.rmse), _fmt(r.mae), _fmt(r.psnr_db), _fmt(r.uqi), f"{r.runtime_ms:.3f}"])
+                r.image_id, f"{r.sigma:g}", r.method, r.levels, r.trial, r.seed,
+                *(f"{v:.17g}" for v in (r.mse, r.rmse, r.mae, r.psnr_db, r.uqi)),
+                f"{r.runtime_ms:.3f}"])
 
 
 def summarize(rows: list[BenchRow]) -> list[tuple]:
@@ -250,8 +243,8 @@ def write_summary(rows: list[BenchRow], csv_path, table_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "sigma", "mean_psnr_db", "mean_uqi", "n_ok", "n_failed"])
-        writer.writerows([m, s if s == "all" else f"{s:g}", _fmt(psnr), _fmt(uqi), n_ok, n_failed]
-                         for m, s, psnr, uqi, n_ok, n_failed in summary)
+        writer.writerows([m, s if s == "all" else f"{s:g}", f"{psnr:.17g}", f"{uqi:.17g}", *counts]
+                         for m, s, psnr, uqi, *counts in summary)
     table = [(s, f"{psnr:.4f}") for m, s, psnr, *_ in summary if s != "all"]
     with open(table_path, "w") as fh:
         fh.write("# sigma " + " ".join(m for m, s, *_ in summary if s == "all") + "\n")

@@ -45,14 +45,6 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_BYTES)
 
 
-def _method_name(raw: str) -> str:
-    """The method `raw` names, aliases resolved; unknown names raise ValueError."""
-    name = _METHOD_ALIASES.get(raw, raw)
-    if name not in METHODS:
-        raise ValueError(f"unknown method {raw!r}; choose from {', '.join(METHODS)}")
-    return name
-
-
 # the settings `bench run --config` reads; each may appear once per file
 _CONFIG_KEYS = ("images", "sigmas", "methods", "levels", "trials", "seed", "workers", "out",
                 "save_images")
@@ -60,10 +52,7 @@ _CONFIG_KEYS = ("images", "sigmas", "methods", "levels", "trials", "seed", "work
 
 def _parse_config_file(path: str) -> dict[str, str]:
     """Plain `key = value` lines of `_CONFIG_KEYS`; '#' starts a comment; flags override."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, ValueError) as exc:  # missing, unreadable or not text
-        raise SystemExit(f"bench run: {exc}") from None
+    text = Path(path).read_text()
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -71,21 +60,22 @@ def _parse_config_file(path: str) -> dict[str, str]:
             continue
         key, eq, value = line.partition("=")
         key = key.strip()
-        where = f"bench run: {path}:{lineno}:"
+        where = f"{path}:{lineno}:"
         if not eq:
-            raise SystemExit(f"{where} expected 'key = value'")
+            raise ValueError(f"{where} expected 'key = value'")
         if key not in _CONFIG_KEYS:
-            raise SystemExit(f"{where} unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}")
+            raise ValueError(f"{where} unknown key {key!r}; expected one of {', '.join(_CONFIG_KEYS)}")
         if key in values:
-            raise SystemExit(f"{where} repeated key {key!r}")
+            raise ValueError(f"{where} repeated key {key!r}")
         values[key] = value.strip()
     return values
 
 
 def _collect_images(spec: str) -> list[str]:
-    """Image paths of a comma-separated list; a directory gives its ``*.pgm`` files."""
+    """Image paths of a comma-separated list, or of `spec` alone when that path exists;
+    a directory gives its ``*.pgm`` files."""
     paths: list[str] = []
-    for item in spec.split(","):
+    for item in [spec] if Path(spec).exists() else spec.split(","):
         item = item.strip()
         if not item:
             # Path("") is the current directory, which would add its images
@@ -113,36 +103,33 @@ def _cmd_run(args) -> int:
     settings = _parse_config_file(args.config) if args.config else {}
     settings.update({k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None})
     if "images" not in settings:
-        raise SystemExit("bench run: no input images (use --images or 'images =' in the config)")
+        raise ValueError("no input images (use --images or 'images =' in the config)")
     out = settings.get("out", "bench.csv")
-    try:
-        levels = _integer("levels", settings.get("levels", 3))
-        trials = _integer("trials", settings.get("trials", 5))
-        seed = _integer("seed", settings.get("seed", 0))
-        workers = _integer("workers", settings.get("workers", 1))
-        config = BenchConfig(
-            image_paths=tuple(_collect_images(settings["images"])),
-            sigmas=tuple(float(s) for s in settings.get("sigmas", "10,20,30,40,50").split(",")),
-            methods=tuple(MethodConfig(method=_method_name(m.strip()), levels=levels)
-                          for m in settings.get("methods", ",".join(METHODS)).split(",")),
-            trials=trials,
-            master_seed=seed,
-            save_images_dir=settings.get("save_images"),
-            workers=workers,
-            record_runtime=not args.no_runtime,
-        )
-        # an unusable output location, or an unreadable or malformed input
-        # image, stops the sweep before any cell runs
-        if Path(out).is_dir():
-            raise ValueError(f"output {out!r} is a directory")
-        if not Path(out).parent.is_dir():
-            raise ValueError(f"parent of output {out!r} is not a directory")
-        rows = run_benchmark(config)
-        write_csv(rows, out)
-        stem = Path(out).with_suffix("")
-        write_summary(rows, f"{stem}_summary.csv", f"{stem}_plot.dat")
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"bench run: {exc}") from None
+    levels = _integer("levels", settings.get("levels", 3))
+    trials = _integer("trials", settings.get("trials", 5))
+    seed = _integer("seed", settings.get("seed", 0))
+    workers = _integer("workers", settings.get("workers", 1))
+    names = [m.strip() for m in settings.get("methods", ",".join(METHODS)).split(",")]
+    config = BenchConfig(
+        image_paths=tuple(_collect_images(settings["images"])),
+        sigmas=tuple(float(s) for s in settings.get("sigmas", "10,20,30,40,50").split(",")),
+        methods=tuple(MethodConfig(method=_METHOD_ALIASES.get(m, m), levels=levels) for m in names),
+        trials=trials,
+        master_seed=seed,
+        save_images_dir=settings.get("save_images"),
+        workers=workers,
+        record_runtime=not args.no_runtime,
+    )
+    # an unusable output location, or an unreadable or malformed input
+    # image, stops the sweep before any cell runs
+    if Path(out).is_dir():
+        raise ValueError(f"output {out!r} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"parent of output {out!r} is not a directory")
+    rows = run_benchmark(config)
+    write_csv(rows, out)
+    stem = Path(out).with_suffix("")
+    write_summary(rows, f"{stem}_summary.csv", f"{stem}_plot.dat")
     print(f"bench: {len(rows)} rows -> {out}, {stem}_summary.csv, {stem}_plot.dat")
     failed = sum(math.isnan(r.psnr_db) for r in rows)
     if failed:
@@ -154,25 +141,19 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     out_dir = Path(args.out)
     images = {**default_set(), "texture512": texture_image(512)}
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, image in images.items():
-            save_pgm(image, out_dir / f"{name}.pgm")
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"bench synth: {exc}") from None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, image in images.items():
+        save_pgm(image, out_dir / f"{name}.pgm")
     print(f"bench: wrote {len(images)} synthetic images to {out_dir}")
     return 0
 
 
 def _cmd_denoise(args) -> int:
     if args.sigma is not None and not 0 < args.sigma < math.inf:
-        raise SystemExit(f"bench denoise: --sigma must be finite and positive, got {args.sigma:g}")
-    try:
-        config = MethodConfig(method=_method_name(args.method), levels=args.levels)
-        denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
-        save_pgm(denoised, args.out)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"bench denoise: {exc}") from None
+        raise ValueError(f"--sigma must be finite and positive, got {args.sigma:g}")
+    config = MethodConfig(method=_METHOD_ALIASES.get(args.method, args.method), levels=args.levels)
+    denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
+    save_pgm(denoised, args.out)
     print(f"bench: {config.method}-denoised image written to {args.out}")
     return 0
 
@@ -211,7 +192,11 @@ def main(argv=None) -> int:
     one.set_defaults(func=_cmd_denoise)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # a bad setting or an unusable file is one line on stderr and status 1
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bench {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ class MethodConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+            raise ValueError(f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
         if not 1 <= self.levels <= 6:
             raise ValueError("levels must be in [1, 6]")
 

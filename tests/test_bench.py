@@ -236,6 +236,20 @@ def test_summarize_averages_only_cells_that_succeeded():
         assert math.isnan(psnr) and math.isnan(uqi) and (n_ok, n_failed) == (0, 1)
 
 
+def test_csv_writers_print_infinite_and_nan_scores_with_their_sign(tmp_path):
+    scores = {"bayes": -math.inf, "neigh": math.nan, "visu": math.inf}
+    rows = [BenchRow("img", 10.0, m, 2, 1, 7, v, v, v, v, v, 0.0) for m, v in scores.items()]
+    write_csv(rows, tmp_path / "r.csv")
+    write_summary(rows, tmp_path / "s.csv", tmp_path / "p.dat")
+    with open(tmp_path / "r.csv", newline="") as fh:
+        assert [row[6:11] for row in list(csv.reader(fh))[1:]] == [
+            ["-inf"] * 5, ["nan"] * 5, ["inf"] * 5]
+    with open(tmp_path / "s.csv", newline="") as fh:
+        assert [row[:4] for row in list(csv.reader(fh))[1:4]] == [
+            ["bayes", "10", "-inf", "-inf"], ["neigh", "10", "nan", "nan"],
+            ["visu", "10", "inf", "inf"]]
+
+
 def test_write_summary_files(tmp_path):
     rows = run_benchmark(_tiny_config(tmp_path))
     write_summary(rows, tmp_path / "s.csv", tmp_path / "p.dat")
@@ -383,6 +397,24 @@ def test_cli_run_quotes_image_ids_that_would_split_a_row(tmp_path):
     assert [len(row) for row in table] == [12] * 9
     assert sorted(row[0] for row in table[1:]) == sorted(ids * 2)
     assert all(float(row[9]) > 0 for row in table[1:])
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_run_takes_an_existing_image_path_with_a_comma_whole(tmp_path, via):
+    img = tmp_path / "a,b.pgm"
+    save_pgm(texture_image(64), img)
+    out_csv = tmp_path / "run.csv"
+    argv = ["run", "--sigmas", "10", "--methods", "visu", "--trials", "1", "--levels", "2",
+            "--out", str(out_csv), "--no-runtime"]
+    if via == "flag":
+        argv += ["--images", str(img)]
+    else:
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"images = {img}\n")
+        argv += ["--config", str(cfg)]
+    assert cli_main(argv) == 0
+    with open(out_csv, newline="") as fh:
+        assert [row[0] for row in list(csv.reader(fh))[1:]] == ["a,b"]
 
 
 @pytest.mark.parametrize("text, line, message", [
@@ -580,16 +612,51 @@ def test_cli_run_rejects_unusable_output_before_any_cell(tmp_path, monkeypatch, 
     assert message.format(d=tmp_path) in exc.value.code
 
 
-def test_unreadable_image_exits_with_status_1(tmp_path):
+# one failing call of each command: a missing input image, or an output directory under a file
+_FAILING_COMMANDS = {
+    "run": ["--images", "{d}/missing.pgm", "--sigmas", "10", "--methods", "visu", "--trials", "1",
+            "--levels", "2", "--out", "{d}/run.csv"],
+    "synth": ["--out", "{d}/file/sub"],
+    "denoise": ["--in", "{d}/missing.pgm", "--method", "bayes", "--out", "{d}/out.pgm"],
+}
+
+
+@pytest.mark.parametrize("command", list(_FAILING_COMMANDS))
+def test_unreadable_image_exits_with_status_1(tmp_path, command):
+    (tmp_path / "file").write_text("")
     src = str(Path(denoisebench.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-m", "denoisebench.cli", "denoise", "--in", str(tmp_path / "missing.pgm"),
-         "--method", "bayes", "--out", str(tmp_path / "out.pgm")],
+        [sys.executable, "-m", "denoisebench.cli", command,
+         *(a.format(d=tmp_path) for a in _FAILING_COMMANDS[command])],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 1
-    assert result.stderr.startswith("bench denoise: ") and result.stderr.count("\n") == 1
+    assert result.stderr.startswith(f"bench {command}: ") and result.stderr.count("\n") == 1
+
+
+# the library call each command makes, and arguments that reach it
+_LIBRARY_CALLS = {
+    "run": ("run_benchmark", ["--images", "{d}/in.pgm", "--methods", "visu", "--out", "{d}/r.csv"]),
+    "synth": ("texture_image", ["--out", "{d}/synth"]),
+    "denoise": ("denoise", ["--in", "{d}/in.pgm", "--method", "bayes", "--out", "{d}/out.pgm"]),
+}
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+@pytest.mark.parametrize("command", list(_LIBRARY_CALLS))
+def test_cli_reports_library_errors_of_every_command_in_one_line(tmp_path, monkeypatch, command,
+                                                                 error):
+    save_pgm(texture_image(64), tmp_path / "in.pgm")
+    call, argv = _LIBRARY_CALLS[command]
+
+    def fail(*args, **kwargs):
+        raise error("library call failed")
+
+    monkeypatch.setattr(cli, call, fail)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *(a.format(d=tmp_path) for a in argv)])
+    assert exc.value.code == f"bench {command}: library call failed"
 
 
 _THIRD_PARTY_CHECK = """

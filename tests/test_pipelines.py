@@ -24,7 +24,8 @@ def noisy(texture):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown method 'fourier'; choose from visu, sure, "
+                                         "bayes, neigh, bilateral, collaborative, mrbf$"):
         MethodConfig(method="fourier")
     with pytest.raises(ValueError):
         MethodConfig(levels=0)
