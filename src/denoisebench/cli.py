@@ -4,6 +4,7 @@ import argparse
 import ctypes
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -75,7 +76,8 @@ def _collect_images(spec: str) -> list[str]:
     """Image paths of a comma-separated list, or of `spec` alone when that path exists;
     a directory gives its ``*.pgm`` files."""
     paths: list[str] = []
-    for item in [spec] if Path(spec).exists() else spec.split(","):
+    # os.path.exists, unlike Path.exists, is False for a list too long to be one path name
+    for item in [spec] if os.path.exists(spec) else spec.split(","):
         item = item.strip()
         if not item:
             # Path("") is the current directory, which would add its images

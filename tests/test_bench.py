@@ -417,6 +417,26 @@ def test_cli_run_takes_an_existing_image_path_with_a_comma_whole(tmp_path, via):
         assert [row[0] for row in list(csv.reader(fh))[1:]] == ["a,b"]
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_cli_run_splits_an_image_list_too_long_to_be_one_path(tmp_path, monkeypatch, via):
+    names = [f"img_{i:04d}.pgm" for i in range(30)]
+    for seed, name in enumerate(names):
+        save_pgm(texture_image(16, seed=seed), tmp_path / name)
+    spec = ",".join(names)
+    assert len(spec) > 255  # longer than one path component may be
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--sigmas", "10", "--methods", "visu", "--trials", "1", "--levels", "2",
+            "--out", "run.csv", "--no-runtime"]
+    if via == "flag":
+        argv += ["--images", spec]
+    else:
+        (tmp_path / "bench.cfg").write_text(f"images = {spec}\n")
+        argv += ["--config", "bench.cfg"]
+    assert cli_main(argv) == 0
+    with open(tmp_path / "run.csv", newline="") as fh:
+        assert [row[0] for row in list(csv.reader(fh))[1:]] == [n[:-4] for n in names]
+
+
 @pytest.mark.parametrize("text, line, message", [
     # a misspelt key would otherwise fall back to its default without a word
     ("trails = 1\n", 3, "unknown key 'trails'; expected one of images, sigmas, methods, levels, "
