@@ -5,6 +5,8 @@ real-valued and may leave [0, 255] while processing; quantization to 8-bit
 happens only in :func:`save_pgm`.
 """
 
+import re
+
 import numpy as np
 
 __all__ = ["as_image", "load_pgm", "save_pgm"]
@@ -24,70 +26,57 @@ def as_image(data) -> np.ndarray:
     return img
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping '#' comments.
-
-    Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last token.
-    """
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            j = data.find(b"\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise PgmError("truncated PGM header")
-        try:
-            tokens.append(int(data[i:j]))
-        except ValueError:
-            raise PgmError(f"non-integer PGM header token {data[i:j]!r}") from None
-        i = j
-    if i >= n or not data[i : i + 1].isspace():
-        raise PgmError("missing whitespace after PGM header")
-    return tokens, i + 1
+# magic, then width, height and maxval, each after whitespace or '#' comments
+# running to the end of their line; one whitespace byte ends the header
+_HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
 
 
 def load_pgm(path) -> np.ndarray:
-    """Load a binary (P5) or ASCII (P2) PGM file, maxval <= 255.
+    """Load a binary (P5) or ASCII (P2) PGM file, maxval 1 to 65535.
 
-    Samples are rescaled from [0, maxval] to [0, 255], the range the metrics
-    score against; at maxval 255 they load unchanged.
+    P5 samples are one byte at maxval <= 255 and two big-endian bytes above
+    it.  Samples are rescaled from [0, maxval] to [0, 255], the range the
+    metrics score against; at maxval 255 they load unchanged.  Every
+    `PgmError` starts with `path`.
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    try:
+        return _decode_pgm(data)
+    except PgmError as exc:
+        raise PgmError(f"{path}: {exc}") from None
+
+
+def _decode_pgm(data: bytes) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P5", b"P2"):
         raise PgmError(f"unsupported PNM format {magic!r}; only P5/P2 grayscale supported")
-    (width, height, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
+    header = _HEADER.match(data)
+    if header is None:
+        raise PgmError("malformed PGM header")
+    width, height, maxval = map(int, header.groups())
     if width < 1 or height < 1:
         raise PgmError(f"invalid PGM dimensions {width}x{height}")
-    if maxval > 255:
-        raise PgmError(f"maxval {maxval} unsupported (16-bit PGM not handled)")
-    if maxval < 1:
+    if not 1 <= maxval <= 65535:
         raise PgmError(f"invalid maxval {maxval}")
-    count = width * height
+    count, offset = width * height, header.end()
     if magic == b"P5":
-        payload = data[offset : offset + count]
-        if len(payload) < count:
+        dtype = np.dtype(">u2" if maxval > 255 else "u1")
+        payload = data[offset : offset + count * dtype.itemsize]
+        if len(payload) < count * dtype.itemsize:
             raise PgmError("truncated P5 pixel payload")
-        pixels = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
+        pixels = np.frombuffer(payload, dtype).astype(np.float64)
     else:
         values = data[offset:].split()
         if len(values) < count:
             raise PgmError("truncated P2 pixel payload")
-        pixels = np.array([int(v) for v in values[:count]], dtype=np.float64)
+        try:
+            pixels = np.array([int(v) for v in values[:count]], dtype=np.float64)
+        except (ValueError, OverflowError):
+            raise PgmError("non-integer P2 sample") from None
     if pixels.min() < 0 or pixels.max() > maxval:
         raise PgmError("PGM sample outside [0, maxval]")
-    if maxval < 255:
+    if maxval != 255:
         pixels = pixels * 255.0 / maxval
     return pixels.reshape(height, width)
 

@@ -81,11 +81,19 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None) -> n
     """Run the configured method.  Output is not clamped.
 
     The noise std is `oracle_sigma` when given (the true sigma), else the
-    MAD estimate.
+    MAD estimate.  Every method but `bilateral` runs on a grid whose sides
+    divide by 2^levels: a side that does not is mirror-padded (reflect-101)
+    at the bottom or right up to the next multiple, and the result is cropped
+    back to the input's shape.
     """
     img = np.asarray(image, dtype=np.float64)
     if config.method == "bilateral":
         return bilateral_pass(img, _sigma(oracle_sigma, grid=img))
+    h, w = img.shape
+    step = 1 << config.levels
+    if h % step or w % step:
+        padded = np.pad(img, ((0, -h % step), (0, -w % step)), mode="reflect")
+        return denoise(padded, config, oracle_sigma)[:h, :w]
     if config.method == "collaborative":
         return collaborative(img, config, oracle_sigma)
     if config.method == "mrbf":
@@ -124,17 +132,14 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.n
     full-resolution image at level 1), then split it, BayesShrink the detail
     bands and recurse on LL; the coarsest LL gets one more bilateral pass.
     The noise level is re-estimated per level from that level's diagonal
-    band; sigma_r = 2 * estimate.
+    band; sigma_r = 2 * estimate.  Both sides of `image` must divide by
+    2^levels; :func:`denoise` pads any other shape.
 
     Filtering the approximation before the split (rather than after
     reconstruction) matters: post-reconstruction passes smooth detail that
     the shrinkage stage already committed to keeping, while pre-split passes
     only ever see genuinely noisy data.
     """
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
-    if h % (1 << config.levels) or w % (1 << config.levels):
-        raise ValueError(f"dimensions {h}x{w} not divisible by 2^{config.levels}")
 
     def recurse(grid, level):
         grid = bilateral_pass(grid, _sigma(oracle_sigma if level == 1 else None, grid=grid))
@@ -147,4 +152,4 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.n
             ll = recurse(bands.ll, level + 1)
         return idwt2_haar(SubBands(ll, lh, hl, hh))
 
-    return recurse(img, 1)
+    return recurse(np.asarray(image, dtype=np.float64), 1)

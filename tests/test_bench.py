@@ -30,7 +30,7 @@ from denoisebench.cli import main as cli_main
 from denoisebench.imagecore import load_pgm, save_pgm
 from denoisebench.metrics import evaluate
 from denoisebench.noise import NoiseModel, add_awgn, splitmix64_stream
-from denoisebench.pipelines import MethodConfig, denoise
+from denoisebench.pipelines import METHODS, MethodConfig, denoise
 from denoisebench.synth import checkerboard_image, texture_image
 
 
@@ -126,14 +126,14 @@ def test_workers_do_not_change_results(tmp_path):
 
 
 def test_failed_cell_yields_nan_row(tmp_path, capsys):
-    # levels=6 on a 64x64 image: 64 divisible by 64, but the coarsest grid is
-    # 1x1, so wavelet methods still run; force failure via an odd-size image
-    img_path = tmp_path / "odd.pgm"
-    save_pgm(texture_image(64)[:50, :50], img_path)
+    # the bilateral method estimates its noise from a 2x2 Haar split, which a
+    # one-row image does not have
+    img_path = tmp_path / "row.pgm"
+    save_pgm(texture_image(64)[:1, :50], img_path)
     config = BenchConfig(
         image_paths=(str(img_path),),
         sigmas=(10.0,),
-        methods=(MethodConfig(method="visu", levels=3),),
+        methods=(MethodConfig(method="bilateral", levels=3),),
         trials=1,
         record_runtime=False,
     )
@@ -314,9 +314,9 @@ def test_sweep_cell_uses_the_estimated_sigma(tmp_path, method):
 
 
 def test_cli_run_reports_failed_cells(tmp_path, capsys):
-    # a 4x4 image has no 3-level wavelet decomposition; the bilateral cells still run
+    # a one-row image has no noise estimate for bilateral; the visu cells still run
     img = tmp_path / "tiny.pgm"
-    save_pgm(texture_image(64)[:4, :4], img)
+    save_pgm(texture_image(64)[:1, :4], img)
     out_csv = tmp_path / "tiny.csv"
     rc = cli_main([
         "run", "--images", str(img), "--sigmas", "10,20", "--methods", "visu,bilateral",
@@ -330,12 +330,12 @@ def test_cli_run_reports_failed_cells(tmp_path, capsys):
 
 
 def test_cli_run_summary_keeps_trials_that_succeeded(tmp_path, capsys):
-    # visu fails on the 4x4 image only (no 3-level decomposition); its 16x16
+    # bilateral fails on the one-row image only (no noise estimate); its 16x16
     # trials must still give the summary a mean, next to the failed count
     paths = []
-    for size in (4, 16):
-        paths.append(str(tmp_path / f"img{size}.pgm"))
-        save_pgm(texture_image(64)[:size, :size], paths[-1])
+    for rows in (1, 16):
+        paths.append(str(tmp_path / f"img{rows}.pgm"))
+        save_pgm(texture_image(64)[:rows, :16], paths[-1])
     out_csv = tmp_path / "mixed.csv"
     rc = cli_main([
         "run", "--images", ",".join(paths), "--sigmas", "10", "--methods", "visu,bilateral",
@@ -344,18 +344,18 @@ def test_cli_run_summary_keeps_trials_that_succeeded(tmp_path, capsys):
     assert rc == 1
     assert "bench: 2 of 8 cells failed" in capsys.readouterr().err
     trials = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
-    visu16 = [float(t[9]) for t in trials if t[0] == "img16" and t[2] == "visu"]
-    want = float(np.mean(visu16))
+    bilateral16 = [float(t[9]) for t in trials if t[0] == "img16" and t[2] == "bilateral"]
+    want = float(np.mean(bilateral16))
     summary = (tmp_path / "mixed_summary.csv").read_text().splitlines()
     assert summary[0] == "method,sigma,mean_psnr_db,mean_uqi,n_ok,n_failed"
     rows = {tuple(line.split(",")[:2]): line.split(",")[2:] for line in summary[1:]}
     for sigma in ("10", "all"):
-        psnr, uqi, n_ok, n_failed = rows[("visu", sigma)]
+        psnr, uqi, n_ok, n_failed = rows[("bilateral", sigma)]
         assert float(psnr) == want and uqi != "nan" and (n_ok, n_failed) == ("2", "2")
-        assert rows[("bilateral", sigma)][2:] == ["4", "0"]
+        assert rows[("visu", sigma)][2:] == ["4", "0"]
     plot = (tmp_path / "mixed_plot.dat").read_text().splitlines()
     assert plot[0] == "# sigma bilateral visu"
-    assert plot[1].split()[2] == f"{want:.4f}"
+    assert plot[1].split()[1] == f"{want:.4f}"
 
 
 def test_cli_config_file_with_overrides(tmp_path):
@@ -527,12 +527,14 @@ def test_cli_denoise_reports_bad_arguments_in_one_line(tmp_path, extra, message)
     assert not (tmp_path / "out.pgm").exists()
 
 
-def test_cli_denoise_reports_unsupported_size_in_one_line(tmp_path):
+def test_cli_denoise_writes_odd_size_for_every_method(tmp_path):
+    # 75 and 100 do not divide by 2^3; each output keeps the input's shape
     img = tmp_path / "odd.pgm"
     save_pgm(checkerboard_image(128)[:75, :100], img)
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["denoise", "--in", str(img), "--method", "bayes", "--out", str(tmp_path / "out.pgm")])
-    assert exc.value.code == "bench denoise: dimensions 75x100 not divisible by 2^3"
+    for method in METHODS:
+        out = tmp_path / f"{method}.pgm"
+        assert cli_main(["denoise", "--in", str(img), "--method", method, "--out", str(out)]) == 0
+        assert load_pgm(out).shape == (75, 100)
 
 
 def test_cli_denoise_checks_sigma_before_reading_the_image(tmp_path):
@@ -551,7 +553,7 @@ def _truncated_pgm(path):
 
 _UNREADABLE_IMAGES = [
     pytest.param(lambda d: d / "missing.pgm", "No such file or directory", id="missing"),
-    pytest.param(lambda d: _truncated_pgm(d / "cut.pgm"), "truncated P5 pixel payload",
+    pytest.param(lambda d: _truncated_pgm(d / "cut.pgm"), "cut.pgm: truncated P5 pixel payload",
                  id="truncated"),
 ]
 

@@ -60,14 +60,44 @@ def test_load_rejects_p6(tmp_path):
         load_pgm(path)
 
 
-def test_load_rejects_16bit_and_truncation(tmp_path):
+def test_load_rejects_truncation(tmp_path):
     path = tmp_path / "t.pgm"
-    path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
-    with pytest.raises(PgmError):
-        load_pgm(path)
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(PgmError):
         load_pgm(path)
+    # a 16-bit sample takes two bytes, so three bytes hold one and a half
+    path.write_bytes(b"P5\n2 1\n65535\n\x00\x00\x00")
+    with pytest.raises(PgmError, match="truncated P5 pixel payload"):
+        load_pgm(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n2\n255\n\x00\x00", "malformed PGM header"),
+    (b"P5\n2 x\n255\n\x00\x00", "malformed PGM header"),
+    (b"P5\n-2 1\n255\n\x00\x00", "malformed PGM header"),
+    (b"P5\n2 1 # no line end", "malformed PGM header"),
+    (b"P5\n2 1\n255", "malformed PGM header"),
+    (b"P5\n0 1\n255\n", "invalid PGM dimensions 0x1"),
+    (b"P5\n2 1\n0\n\x00\x00", "invalid maxval 0"),
+    (b"P5\n2 1\n65536\n\x00\x00\x00\x00", "invalid maxval 65536"),
+    (b"P2\n2 1\n255\n1.5 3", "non-integer P2 sample"),
+    (b"P2\n2 1\n15\n1 16", "PGM sample outside"),
+])
+def test_load_rejects_bad_pgm_naming_the_file(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(PgmError) as exc:
+        load_pgm(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_load_16bit_p5_equals_p2(tmp_path):
+    p5, p2 = tmp_path / "a.pgm", tmp_path / "b.pgm"
+    values = [0, 1, 256, 32768, 65535]
+    p5.write_bytes(b"P5\n5 1\n65535\n" + np.array(values, dtype=">u2").tobytes())
+    p2.write_bytes(b"P2\n5 1\n65535\n" + " ".join(map(str, values)).encode())
+    np.testing.assert_array_equal(load_pgm(p5), load_pgm(p2))
+    assert load_pgm(p5).tolist() == [[v * 255.0 / 65535 for v in values]]
 
 
 @pytest.mark.parametrize(
@@ -93,12 +123,14 @@ def test_pgm_round_trip_is_exact(tmp_path_factory, pixels):
 
 @settings(max_examples=50)
 @given(st.data())
-def test_load_p5_rescales_any_maxval_below_255(tmp_path_factory, data):
-    maxval = data.draw(st.integers(1, 254))
-    pixels = data.draw(arrays(np.uint8, _SHAPES, elements=st.integers(0, maxval)))
+def test_load_p5_rescales_any_maxval(tmp_path_factory, data):
+    # one byte per sample up to maxval 255, two big-endian bytes above it
+    maxval = data.draw(st.one_of(st.integers(1, 255), st.integers(256, 65535)))
+    pixels = data.draw(arrays(np.uint16, _SHAPES, elements=st.integers(0, maxval)))
     height, width = pixels.shape
-    path = tmp_path_factory.mktemp("pgm") / "low.pgm"
-    path.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + pixels.tobytes())
+    path = tmp_path_factory.mktemp("pgm") / "any.pgm"
+    samples = pixels.astype(">u2" if maxval > 255 else "u1").tobytes()
+    path.write_bytes(f"P5\n{width} {height}\n{maxval}\n".encode() + samples)
     img = load_pgm(path)
     assert img.shape == pixels.shape
     assert img.tolist() == [[v * 255.0 / maxval for v in row] for row in pixels.tolist()]

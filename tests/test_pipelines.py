@@ -4,6 +4,9 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes
 
 from denoisebench import bilateral, pipelines
 from denoisebench.metrics import psnr
@@ -144,6 +147,18 @@ def test_every_method_filters_a_tiny_image(texture):
     for method in METHODS:
         out = denoise(tiny, MethodConfig(method=method, levels=1))
         assert out.shape == tiny.shape, method
+        assert np.all(np.isfinite(out)), method
+
+
+@settings(max_examples=25, deadline=None)
+@given(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=40), st.integers(1, 3),
+       st.integers(0, 1000))
+def test_every_method_keeps_any_shape(shape, levels, seed):
+    # sides that do not divide by 2^levels are padded to the Haar grid and cropped back
+    image = add_awgn(np.full(shape, 128.0), NoiseModel(sigma=20.0, seed=seed))
+    for method in METHODS:
+        out = denoise(image, MethodConfig(method=method, levels=levels))
+        assert out.shape == shape, method
         assert np.all(np.isfinite(out)), method
 
 
