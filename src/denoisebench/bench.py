@@ -15,10 +15,12 @@ helper thread while the calling thread denoises and scores the current
 cell.  The helper belongs to one ``run_benchmark`` call and is joined when
 it returns; a noise error still fails only its own cell.  The calling thread
 allocates each noisy image and the helper fills it, so the sweep holds about
-one extra noisy image in memory and the helper's heap stays small.  With
+one extra noisy image in memory and the helper's heap stays small.  A cell
+drops its noisy image once it is denoised, so scoring runs without it.  With
 ``workers > 1`` each pool thread noises its own cells.
 """
 
+import collections
 import concurrent.futures
 import csv
 import math
@@ -126,15 +128,20 @@ def _noisy(clean: np.ndarray, sigma: float, seed: int, out: np.ndarray | None = 
 
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
               trial: int, config: BenchConfig,
-              noise: "concurrent.futures.Future | None" = None) -> BenchRow:
-    """Run one cell; `noise`, if given, is a pending `_noisy` call for it."""
+              noise: "collections.deque[concurrent.futures.Future] | None" = None) -> BenchRow:
+    """Run one cell; `noise`, if given, starts with a pending `_noisy` call for it.
+
+    The cell takes that call out of `noise`, so once the noisy image is
+    denoised nothing holds it.
+    """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
     try:
-        noisy = _noisy(clean, sigma, seed) if noise is None else noise.result()
+        noisy = _noisy(clean, sigma, seed) if noise is None else noise.popleft().result()
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
+        del noisy
         report = evaluate(clean, denoised)
         if config.save_images_dir:
             name = f"{image_id}_s{sigma:g}_{mcfg.method}_t{trial}.pgm"
@@ -185,11 +192,10 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
 
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
             rows = []
-            pending = prefetch(*cells[0])
+            noise = collections.deque([prefetch(*cells[0])])
             for i, cell in enumerate(cells):
-                noise = pending
                 if i + 1 < len(cells):
-                    pending = prefetch(*cells[i + 1])
+                    noise.append(prefetch(*cells[i + 1]))
                 rows.append(_run_cell(*cell, config, noise))
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows

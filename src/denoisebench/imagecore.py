@@ -70,10 +70,11 @@ def _decode_pgm(data: bytes) -> np.ndarray:
         values = data[offset:].split()
         if len(values) < count:
             raise PgmError("truncated P2 pixel payload")
-        try:
-            pixels = np.array([int(v) for v in values[:count]], dtype=np.float64)
-        except (ValueError, OverflowError):
-            raise PgmError("non-integer P2 sample") from None
+        samples = values[:count]
+        # netpbm samples are plain decimal digits: no sign, point or '_'
+        if not all(map(bytes.isdigit, samples)):
+            raise PgmError("non-integer P2 sample")
+        pixels = np.array(samples, dtype=np.float64)
     if pixels.min() < 0 or pixels.max() > maxval:
         raise PgmError("PGM sample outside [0, maxval]")
     if maxval != 255:

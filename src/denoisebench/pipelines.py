@@ -21,7 +21,15 @@ from denoisebench.shrinkage import (
     sure_threshold,
     visu_threshold,
 )
-from denoisebench.wavelet import Pyramid, SubBands, decompose, dwt2_haar, idwt2_haar, reconstruct
+from denoisebench.wavelet import (
+    Pyramid,
+    SubBands,
+    check_grid,
+    decompose,
+    dwt2_haar,
+    idwt2_haar,
+    reconstruct,
+)
 
 __all__ = ["MethodConfig", "METHODS", "denoise", "collaborative", "mrbf"]
 
@@ -100,9 +108,14 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None) -> n
         return mrbf(img, config, oracle_sigma)
     pyramid = decompose(img, config.levels)
     sigma = _sigma(oracle_sigma, hh=pyramid.levels[0][2])
+    levels, top_ll = [list(details) for details in pyramid.levels], pyramid.top_ll
+    del pyramid
+    # each band's shrunk copy replaces it, so the original is freed at once
     shrink = _SHRINKERS[config.method]
-    levels = tuple(tuple(shrink(band, sigma) for band in details) for details in pyramid.levels)
-    return reconstruct(Pyramid(levels, pyramid.top_ll, pyramid.original_shape))
+    for details in levels:
+        for i in range(3):
+            details[i] = shrink(details[i], sigma)
+    return reconstruct(Pyramid(tuple(map(tuple, levels)), top_ll, img.shape))
 
 
 def bilateral_pass(grid, sigma: float) -> np.ndarray:
@@ -133,7 +146,8 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.n
     bands and recurse on LL; the coarsest LL gets one more bilateral pass.
     The noise level is re-estimated per level from that level's diagonal
     band; sigma_r = 2 * estimate.  Both sides of `image` must divide by
-    2^levels; :func:`denoise` pads any other shape.
+    2^levels, checked before the first pass; :func:`denoise` pads any other
+    shape.
 
     Filtering the approximation before the split (rather than after
     reconstruction) matters: post-reconstruction passes smooth detail that
@@ -144,12 +158,16 @@ def mrbf(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.n
     def recurse(grid, level):
         grid = bilateral_pass(grid, _sigma(oracle_sigma if level == 1 else None, grid=grid))
         bands = dwt2_haar(grid)
-        sigma = _sigma(None, hh=bands.hh)
-        lh, hl, hh = (_SHRINKERS["bayes"](band, sigma) for band in (bands.lh, bands.hl, bands.hh))
-        if level == config.levels:
-            ll = bilateral_pass(bands.ll, sigma)
-        else:
-            ll = recurse(bands.ll, level + 1)
-        return idwt2_haar(SubBands(ll, lh, hl, hh))
+        ll, details = bands.ll, [bands.lh, bands.hl, bands.hh]
+        # from here `details` alone holds the split's bands, each replaced by
+        # its shrunk copy, so neither the filtered grid nor an unshrunk band
+        # lives through the recursion below or the synthesis
+        del grid, bands
+        sigma = _sigma(None, hh=details[2])
+        for i in range(3):
+            details[i] = _SHRINKERS["bayes"](details[i], sigma)
+        ll = bilateral_pass(ll, sigma) if level == config.levels else recurse(ll, level + 1)
+        return idwt2_haar(SubBands(ll, *details))
 
+    check_grid(np.shape(image), config.levels)
     return recurse(np.asarray(image, dtype=np.float64), 1)

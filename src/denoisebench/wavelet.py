@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SubBands", "Pyramid", "dwt2_haar", "idwt2_haar", "decompose", "reconstruct"]
+__all__ = ["SubBands", "Pyramid", "check_grid", "dwt2_haar", "idwt2_haar", "decompose", "reconstruct"]
 
 
 @dataclass(frozen=True)
@@ -116,21 +116,26 @@ def idwt2_haar(bands: SubBands) -> np.ndarray:
     return out
 
 
+def check_grid(shape, levels: int) -> None:
+    """Raise unless both sides of `shape` divide by 2^levels, as `levels` splits need."""
+    h, w = shape
+    if h % (1 << levels) or w % (1 << levels):
+        raise ValueError(f"dimensions {h}x{w} not divisible by 2^{levels}")
+
+
 def decompose(image, levels: int) -> Pyramid:
     """Multilevel Haar decomposition, iterating on the approximation band."""
     x = np.asarray(image, dtype=np.float64)
     if levels < 1:
         raise ValueError("levels must be positive")
-    h, w = x.shape
-    if h % (1 << levels) or w % (1 << levels):
-        raise ValueError(f"dimensions {h}x{w} not divisible by 2^{levels}")
+    check_grid(x.shape, levels)
     stack = []
     current = x
     for _ in range(levels):
         bands = dwt2_haar(current)
         stack.append((bands.lh, bands.hl, bands.hh))
         current = bands.ll
-    return Pyramid(levels=tuple(stack), top_ll=current, original_shape=(h, w))
+    return Pyramid(levels=tuple(stack), top_ll=current, original_shape=x.shape)
 
 
 def reconstruct(pyramid: Pyramid) -> np.ndarray:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -188,6 +189,28 @@ def test_run_benchmark_leaves_no_thread_behind(tmp_path, monkeypatch):
                                sigmas=(20.0,), trials=1))
     assert threading.active_count() == before
     assert [t.name for t in threading.enumerate() if t.name.startswith("bilateral")] == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_frees_its_noisy_image_before_scoring(tmp_path, monkeypatch, workers):
+    # only `denoise` reads a cell's noisy image: neither the cell, the sweep
+    # loop nor the serial sweep's prefetch may keep it while the cell is scored
+    received, freed = {}, []
+    real_denoise, real_evaluate = bench.denoise, bench.evaluate
+
+    def denoise_spy(noisy, mcfg):
+        received[threading.get_ident()] = weakref.ref(noisy)
+        return real_denoise(noisy, mcfg)
+
+    def evaluate_spy(clean, denoised):
+        freed.append(received.pop(threading.get_ident())() is None)
+        return real_evaluate(clean, denoised)
+
+    monkeypatch.setattr(bench, "denoise", denoise_spy)
+    monkeypatch.setattr(bench, "evaluate", evaluate_spy)
+    rows = run_benchmark(_tiny_config(tmp_path, workers=workers))
+    assert not any(math.isnan(r.psnr_db) for r in rows)
+    assert len(rows) == 8 and freed == [True] * 8
 
 
 def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):

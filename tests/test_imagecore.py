@@ -81,7 +81,13 @@ def test_load_rejects_truncation(tmp_path):
     (b"P5\n2 1\n0\n\x00\x00", "invalid maxval 0"),
     (b"P5\n2 1\n65536\n\x00\x00\x00\x00", "invalid maxval 65536"),
     (b"P2\n2 1\n255\n1.5 3", "non-integer P2 sample"),
+    # Python's int() would read these three as 10, 5 and 0; netpbm allows digits only
+    (b"P2\n3 1\n255\n1_0 5 7\n", "non-integer P2 sample"),
+    (b"P2\n3 1\n255\n+5 5 7\n", "non-integer P2 sample"),
+    (b"P2\n3 1\n255\n-0 5 7\n", "non-integer P2 sample"),
     (b"P2\n2 1\n15\n1 16", "PGM sample outside"),
+    pytest.param(b"P2\n2 1\n255\n" + b"9" * 400 + b" 3", "PGM sample outside",
+                 id="sample-beyond-float-range"),
 ])
 def test_load_rejects_bad_pgm_naming_the_file(tmp_path, data, message):
     path = tmp_path / "bad.pgm"

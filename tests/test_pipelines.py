@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: dispatch, invariants, near-identity cases."""
 
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from denoisebench import bilateral, pipelines
-from denoisebench.metrics import psnr
+from denoisebench.metrics import evaluate, psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
 from denoisebench.synth import texture_image
@@ -128,9 +129,15 @@ def test_mrbf_levels_one_base_case(noisy):
     assert np.all(np.isfinite(out))
 
 
-def test_mrbf_divisibility_precondition():
-    with pytest.raises(ValueError):
+def test_mrbf_divisibility_precondition(monkeypatch):
+    # an off-grid shape fails before the first bilateral pass, with decompose's message
+    passes = []
+    monkeypatch.setattr(pipelines, "bilateral_filter", lambda *args: passes.append(args))
+    with pytest.raises(ValueError, match="^dimensions 100x100 not divisible by 2\\^3$"):
         mrbf(np.zeros((100, 100)), MethodConfig(method="mrbf", levels=3))
+    with pytest.raises(ValueError, match="^dimensions 100x100 not divisible by 2\\^3$"):
+        decompose(np.zeros((100, 100)), 3)
+    assert passes == []
 
 
 def test_mrbf_flattens_constant_plus_noise():
@@ -230,3 +237,46 @@ def test_mrbf_float_output_same_for_every_lane_count_at_1024(monkeypatch):
         monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
         outputs.append(denoise(image, config))
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
+
+
+@pytest.fixture(scope="module")
+def texture512():
+    return texture_image(512)
+
+
+def _copies_held(fn, image, *args) -> float:
+    """Peak memory traced during ``fn(image, *args)`` above what was traced
+    before it, in copies of `image`.
+
+    The call runs on a worker thread, where the bilateral filter takes one lane.
+    """
+    def measure():
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(image, *args)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(measure).result() / image.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method, bound", [
+    # the shrunk bands, the finest synthesis's output and its three scratch bands
+    ("visu", 3.1), ("sure", 3.1), ("bayes", 3.1), ("neigh", 3.1),
+    # each level frees its filtered grid once split, and each band once shrunk
+    ("mrbf", 3.25),
+    ("bilateral", 3.2), ("collaborative", 4.3),
+])
+def test_working_set_in_image_copies(texture512, method, bound):
+    noisy = add_awgn(texture512, NoiseModel(sigma=30.0, seed=1))
+    assert _copies_held(denoise, noisy, MethodConfig(method=method)) <= bound
+
+
+def test_scoring_working_set_in_image_copies(texture512):
+    # a sweep cell scores after its noisy image is freed
+    denoised = denoise(add_awgn(texture512, NoiseModel(sigma=30.0, seed=1)), MethodConfig())
+    assert _copies_held(evaluate, texture512, denoised) <= 3.05
