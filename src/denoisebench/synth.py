@@ -17,10 +17,16 @@ _CHECKER_GREYS = (64.0, 192.0)
 _OCTAVE_WEIGHTS = (0.5, 1.5, 4.0, 10.0, 20.0)
 _EDGE_STRENGTH = 3.0
 _REGIONS = 6
+# lanes per row block of _box_blur: a block's operands fit in a 2 MiB L2
+_BLUR_LANES = 1 << 15
+# ranks quantised per step of _plateau_map
+_RANK_CHUNK = 1 << 16
 
 
 def gradient_image(size: int = 128) -> np.ndarray:
     """Diagonal luminance ramp covering [0, 255]."""
+    if size < 2:
+        raise ValueError(f"gradient size {size} must be at least 2 to span [0, 255]")
     ramp = np.add.outer(np.arange(size), np.arange(size)).astype(np.float64)
     return ramp * (255.0 / ramp.max())
 
@@ -31,42 +37,109 @@ def checkerboard_image(size: int = 128, cell: int = 8) -> np.ndarray:
     return np.where(((yy // cell) + (xx // cell)) % 2 == 0, *_CHECKER_GREYS).astype(np.float64)
 
 
-def _box_blur(field: np.ndarray, passes: int) -> np.ndarray:
-    """Repeated periodic 3x3 box blur.
+def _box_blur(field: np.ndarray, passes: int, out: np.ndarray | None = None,
+              pad: np.ndarray | None = None) -> np.ndarray:
+    """Repeated periodic 3x3 box blur, written to `out` (a new array if None).
 
-    Each pass wraps the field in a one-pixel periodic border and sums the
-    nine shifted views, shift (dy, dx) being ``np.roll(field, (dy, dx), (0, 1))``.
+    Each pass copies the field into `pad` with a one-pixel periodic border
+    and sums the nine shifted views, shift (dy, dx) being
+    ``np.roll(field, (dy, dx), (0, 1))``, into a zero-started sum in that
+    order, then divides it by 9.  `pad` is a flat float64 buffer of at least
+    ``(h + 2) * (w + 2)`` elements (a new one if None), so one buffer serves
+    every pass and every smaller field.  Since every pass reads only the
+    padded copy, `out` may be `field` itself.
+
+    With padded width ``pw = w + 2``, output rows ``r0:r1`` are the
+    ``(r1 - r0 - 1) * pw + w`` lanes of the padded buffer that start at
+    ``(r0 + 1) * pw + 1``, and shift (dy, dx) reads the same run of lanes
+    ``dy * pw + dx`` earlier: every operand is a contiguous 1-D slice.  The
+    rows are summed in blocks of about ``_BLUR_LANES`` lanes, so a block's
+    operands stay in cache, and the two border lanes between rows are summed
+    and then dropped.  Every pixel sees the same operations in the same
+    order as a sum over whole shifted images.
     """
     h, w = field.shape
+    pw = w + 2
+    if out is None:
+        out = np.empty_like(field)
+    if pad is None:
+        pad = np.empty((h + 2) * pw)
+    padded = pad[: (h + 2) * pw].reshape(h + 2, pw)
+    rows = max(1, _BLUR_LANES // pw)
+    acc = np.empty(min(rows, h) * pw)
+    shifts = [dy * pw + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    src = field
     for _ in range(passes):
-        padded = np.pad(field, 1, mode="wrap")
-        acc = np.zeros_like(field)
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                acc += padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
-        field = acc / 9.0
-    return field
+        padded[1:-1, 1:-1] = src
+        padded[0, 1:-1] = src[-1]
+        padded[-1, 1:-1] = src[0]
+        padded[:, 0] = padded[:, -2]
+        padded[:, -1] = padded[:, 1]
+        for r0 in range(0, h, rows):
+            r1 = min(r0 + rows, h)
+            lanes = (r1 - r0 - 1) * pw + w
+            start = (r0 + 1) * pw + 1
+            run = acc[:lanes]
+            run[:] = 0.0
+            for shift in shifts:
+                run += pad[start - shift : start - shift + lanes]
+            np.divide(acc[: (r1 - r0) * pw].reshape(r1 - r0, pw)[:, :w], 9.0, out=out[r0:r1])
+        src = out
+    return out
+
+
+def _noise_layer(seed: int, coarse: int, passes: int, out: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """White noise drawn at `coarse` x `coarse`, blurred twice, upsampled by
+    pixel repetition into the square `out` and blurred `passes` more times.
+
+    `pad` is the `_box_blur` buffer for a field the size of `out`.
+    """
+    size = len(out)
+    if coarse == size:
+        return _box_blur(gaussian_field(seed, out.shape, out), 2 + passes, out, pad)
+    noise = gaussian_field(seed, (coarse, coarse))
+    f = size // coarse
+    out.reshape(coarse, f, coarse, f)[...] = _box_blur(noise, 2, noise, pad)[:, None, :, None]
+    return _box_blur(out, passes, out, pad)
+
+
+def _plateau_map(size: int, seed: int) -> np.ndarray:
+    """Plateau index 0.._REGIONS-1 of every pixel, as int8.
+
+    A smooth random layout field is rank-quantised: the pixel of rank r
+    lies on plateau ``floor(r / size**2 * _REGIONS)``.  The field's
+    upsampled blocks tie, up to 100 pixels to a value, so the image follows
+    the order numpy's default argsort gives ties; a stable sort would put
+    some of them on another plateau.
+    """
+    pad = np.empty((size + 2) ** 2)
+    layout = _noise_layer(seed + 50, max(size >> 5, 4), 3, np.empty((size, size)), pad)
+    detail = _noise_layer(seed + 51, max(size >> 4, 4), 3, np.empty((size, size)), pad)
+    detail *= 0.5
+    layout += detail
+    del detail, pad
+    n = layout.size
+    order = layout.argsort(axis=None)
+    del layout
+    plateau = np.empty(n, dtype=np.int8)
+    for r0 in range(0, n, _RANK_CHUNK):
+        ranks = np.arange(r0, min(r0 + _RANK_CHUNK, n)) / n
+        ranks *= _REGIONS
+        plateau[order[r0 : r0 + _RANK_CHUNK]] = np.floor(ranks)
+    return plateau.reshape(size, size)
 
 
 def _octave_stack(size: int, seed: int) -> np.ndarray:
     """`_OCTAVE_WEIGHTS`-weighted sum of blurred white-noise fields at halving resolutions."""
     field = np.zeros((size, size))
+    layer = np.empty((size, size))
+    pad = np.empty((size + 2) ** 2)
     for k, weight in enumerate(_OCTAVE_WEIGHTS):
         coarse = max(size >> k, 4)
-        layer = _box_blur(gaussian_field(seed + k, (coarse, coarse)), passes=2)
-        if coarse < size:
-            layer = np.repeat(np.repeat(layer, size // coarse, axis=0), size // coarse, axis=1)
-            layer = _box_blur(layer, passes=1)
-        field += weight * layer
+        _noise_layer(seed + k, coarse, 1 if coarse < size else 0, layer, pad)
+        layer *= weight
+        field += layer
     return field
-
-
-def _smooth_field(size: int, seed: int, k: int) -> np.ndarray:
-    """A single heavily-blurred coarse octave, used to lay out regions."""
-    coarse = max(size >> k, 4)
-    layer = _box_blur(gaussian_field(seed, (coarse, coarse)), passes=2)
-    layer = np.repeat(np.repeat(layer, size // coarse, axis=0), size // coarse, axis=1)
-    return _box_blur(layer, passes=3)
 
 
 def texture_image(size: int = 256, seed: int = 0x5EED) -> np.ndarray:
@@ -80,17 +153,31 @@ def texture_image(size: int = 256, seed: int = 0x5EED) -> np.ndarray:
     adjacent plateaus in texture-sigma units.  The mix gives smooth areas,
     strong edges and fine detail at several scales, the structures that
     differentiate edge-preserving denoisers.
+
+    `size` must be at least 4 and divisible by every octave's coarse side
+    ``max(size >> k, 4)``, k = 0..5 (so any power of two from 4 up), and
+    `seed` must lie in [0, 2**64 - 52]; anything else raises ValueError.
+    The region map is built first and kept as one byte per pixel, and every
+    step after it works in place, so from 512x512 up the call holds under
+    3.75 image copies at its peak.
     """
-    texture = _octave_stack(size, seed)
-    texture /= texture.std()
-    layout = _smooth_field(size, seed + 50, 5) + 0.5 * _smooth_field(size, seed + 51, 4)
-    ranks = np.empty(layout.size, dtype=np.intp)
-    ranks[layout.argsort(axis=None)] = np.arange(layout.size)
-    ranks = ranks.reshape(layout.shape) / layout.size
-    plateaus = np.floor(ranks * _REGIONS) / (_REGIONS - 1) - 0.5  # in [-0.5, 0.5]
-    field = texture + _EDGE_STRENGTH * plateaus * 6.0
+    # coarse sides of the octaves (k = 0-4) and of the layout fields (k = 4, 5)
+    if size < 4 or any(size % max(size >> k, 4) for k in range(6)):
+        raise ValueError(f"texture size {size} must be at least 4 and divisible by "
+                         f"max(size >> k, 4) for k = 0..5, each octave's coarse side")
+    if not 0 <= seed <= 2**64 - 52:
+        raise ValueError(f"texture seed {seed} must be in [0, 2**64 - 52]: "
+                         f"the image draws noise at seeds seed .. seed + 51")
+    plateau = _plateau_map(size, seed)
+    field = _octave_stack(size, seed)
+    field /= field.std()
+    steps = (np.arange(_REGIONS, dtype=np.float64) / (_REGIONS - 1) - 0.5) * _EDGE_STRENGTH * 6.0
+    field += steps[plateau]  # plateau levels in [-0.5, 0.5], scaled
     lo, hi = field.min(), field.max()
-    return 16.0 + (field - lo) * (224.0 / (hi - lo))
+    field -= lo
+    field *= 224.0 / (hi - lo)
+    field += 16.0
+    return field
 
 
 def default_set() -> dict[str, np.ndarray]:
