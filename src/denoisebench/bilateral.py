@@ -4,15 +4,18 @@ Each output pixel is the normalized weighted sum of its window neighborhood,
 with Gaussian weights on squared Euclidean pixel distance (sigma_d) and on
 intensity difference (sigma_r).  Borders use reflect-101 mirroring.
 
-The sum over window offsets runs on flat lanes of the padded image, one
-strip of whole rows at a time.  With padded width ``pw = w + 2 * half``,
-output rows ``r0:r1`` are the ``(r1 - r0 - 1) * pw + w`` lanes of
-``padded.ravel()`` that start at ``(r0 + half) * pw + half``, and window
-offset ``(dy, dx)`` is the same run of lanes ``dy * pw + dx`` later.  Every
-operand is thus a contiguous 1-D slice, which numpy's ufuncs stream several
-times faster than a strided 2-D view.  The ``2 * half`` lanes between two
-output rows are computed and then dropped when the strip is divided into
-``out``: about 1% extra work at width 1024 and 4% at 256.
+The sum over window offsets runs on flat lanes, one strip of whole rows at
+a time.  Each strip is first copied into a padded strip buffer of width
+``pw = w + 2 * half``: image rows ``r0 - half : r1 + half``, the rows beyond
+the image's top and bottom mirrored one by one, and then its columns
+mirrored in place from the strip's own interior.  Output rows ``r0:r1`` are
+the ``(r1 - r0 - 1) * pw + w`` lanes of that buffer that start at
+``half * pw + half``, and window offset ``(dy, dx)`` is the same run of
+lanes ``dy * pw + dx`` later.  Every operand is thus a contiguous 1-D slice,
+which numpy's ufuncs stream several times faster than a strided 2-D view.
+The ``2 * half`` lanes between two output rows are computed and then
+dropped when the strip is divided into ``out``: about 1% extra work at
+width 1024 and 4% at 256.
 
 Each offset updates ``num`` and ``den`` through one scratch buffer with
 ``out=`` ufuncs.  Every output pixel sees the same operations in the same
@@ -41,11 +44,13 @@ gets the same work.  k is lowered until each strip holds at least a quarter
 of ``_STRIP_LANES``: below that the hand-offs cost more than a second lane
 gains, so images below about 220x220 stay on one lane.  Each strip sees the
 same operations in the same order whichever lane runs it and however the
-rows are cut, so the output depends on neither.  Extra memory is one padded
-copy of the image plus k sets of three buffers of one strip's lanes
-(``num``, ``den``, ``buf``), and two bool buffers on a clamped pass (below),
-allocated once per call on the calling thread, instead of about six
-full-image temporaries.
+rows are cut, so the output depends on neither.  Extra memory beyond the
+output is k sets of three buffers of one strip's lanes (``num``, ``den``,
+``buf``), k padded strip buffers, each its own allocation, and two bool
+buffers on a clamped pass (below), all allocated once per call on the
+calling thread: at 1024x1024 on two lanes, 0.74 image copies beyond the
+output, against 1.56 with a padded copy of the whole image and about six
+full-image temporaries before that.
 
 At a tiny ``sigma_r``, such as the 1e-6 floor of the collaborative pass,
 most exponents fall below -708.4, where ``np.exp`` leaves its vector path
@@ -172,22 +177,43 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
     if params.window > 2 * min(h, w) - 1:
         raise ValueError(f"window {params.window} too large for image shape {img.shape}")
     half = params.window // 2
-    padded = np.pad(img, half, mode="reflect")
     inv_2sd2 = _inv_2s2(params.sigma_d)
     inv_2sr2 = _inv_2s2(params.sigma_r)
     clamp = _clamp_is_exact(img, half, inv_2sd2, inv_2sr2)
     out = np.empty_like(img)
     pw = w + 2 * half
-    flat = padded.ravel()
     # only a main-thread call fans out: a sweep's pool threads already fill the cores
     on_main = threading.current_thread() is threading.main_thread()
     k, strips = _strips(h, pw, _cpu_count() if on_main else 1)
-    strip_lanes = -(-h // len(strips)) * pw
+    strip_rows = -(-h // len(strips))
+    strip_lanes = strip_rows * pw
+    # one padded strip per lane, each its own allocation, made before the
+    # lanes' sums: in alternating perfbench runs of bilateral_sweep and
+    # mrbf_1024 that order ran no slower and peaked 0.1 MiB lower
+    lane_pads = [np.empty((strip_rows + 2 * half) * pw) for _ in range(k)]
     lane_bufs = np.empty((k, 3, strip_lanes))
     lane_flags = np.empty((k, 2, strip_lanes if clamp else 0), dtype=bool)
+    start = half * pw + half
 
-    def sum_window(lane: int, start: int, n: int, clamped: bool) -> bool:
-        """Sum the window of the n lanes from `start` into the lane's num and den.
+    def pad_strip(lane: int, r0: int, r1: int) -> np.ndarray:
+        """The lane's padded strip, flat: image rows r0 - half : r1 + half, reflect-101."""
+        flat = lane_pads[lane][: (r1 - r0 + 2 * half) * pw]
+        rows = flat.reshape(-1, pw)
+        first = r0 - half
+        top, bottom = max(first, 0), min(r1 + half, h)
+        rows[top - first : bottom - first, half : half + w] = img[top:bottom]
+        # the at most `half` rows mirrored above the image's first row and below its last
+        for j in range(first, 0):
+            rows[j - first, half : half + w] = img[-j]
+        for j in range(h, r1 + half):
+            rows[j - first, half : half + w] = img[2 * h - 2 - j]
+        if half:
+            rows[:, :half] = rows[:, 2 * half : half : -1]
+            rows[:, half + w :] = rows[:, w + half - 2 : w - 2 : -1]
+        return flat
+
+    def sum_window(lane: int, flat: np.ndarray, n: int, clamped: bool) -> bool:
+        """Sum the window of the n lanes from `start` of `flat` into the lane's num and den.
 
         With `clamped`, exponents are clamped at _CLAMP, and the sum stops and
         returns False at an exponent in [_CLAMP, _ABSORB) before the centre
@@ -227,10 +253,10 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
         for r0, r1 in strips[lane::k]:
             m = r1 - r0
             n = (m - 1) * pw + w
-            start = (r0 + half) * pw + half
+            flat = pad_strip(lane, r0, r1)
             # a strip the clamp might change is summed again without it
-            if not (clamp and sum_window(lane, start, n, True)):
-                sum_window(lane, start, n, False)
+            if not (clamp and sum_window(lane, flat, n, True)):
+                sum_window(lane, flat, n, False)
             # drop the border lanes between rows
             np.divide(
                 num[: m * pw].reshape(m, pw)[:, :w],

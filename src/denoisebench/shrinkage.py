@@ -129,10 +129,29 @@ def neigh_shrink(band, t_universal: float, window: int = 3) -> np.ndarray:
         return y.copy()
     half = window // 2
     padded = np.pad(y**2, half, mode="reflect")
-    s2 = np.zeros_like(y)
+    h, w = y.shape
+    pw = w + 2 * half
+    # output row i is lanes i * pw : i * pw + w of `s2`, and window offset
+    # (dy, dx) is the run of padded lanes dy * pw + dx later.  The runs are
+    # added in the order of a sum over shifted whole images; it starts from
+    # the first run instead of 0 + that run, the same value for a square
+    flat = padded.ravel()
+    n = (h - 1) * pw + w
+    s2 = np.empty(h * pw)
+    lanes = s2[:n]
     for dy in range(window):
         for dx in range(window):
-            s2 += padded[dy : dy + y.shape[0], dx : dx + y.shape[1]]
-    factor = np.zeros_like(y)
-    np.divide(t_universal**2, s2, out=factor, where=s2 > 0)
-    return np.maximum(1.0 - factor, 0.0) * y
+            run = flat[dy * pw + dx : dy * pw + dx + n]
+            if dy == dx == 0:
+                np.copyto(lanes, run)
+            else:
+                lanes += run
+    s2 = s2.reshape(h, pw)[:, :w]
+    with np.errstate(divide="ignore"):
+        out = np.divide(t_universal**2, s2)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    out *= y
+    # an empty (or NaN) neighborhood energy keeps its coefficient, as a factor of 0 would
+    np.copyto(out, y, where=~(s2 > 0))
+    return out

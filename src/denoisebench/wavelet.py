@@ -11,6 +11,11 @@ import numpy as np
 
 __all__ = ["SubBands", "Pyramid", "check_grid", "dwt2_haar", "idwt2_haar", "decompose", "reconstruct"]
 
+# band elements per block of rows the transforms fill at a time.  Picked by
+# measurement on a 2-vCPU host with 2 MiB of L2: 2^14 ran as fast as or
+# faster than 2^13 and 2^15 at 256x256 to 1024x1024, and 2^16 and up slower
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class SubBands:
@@ -55,30 +60,43 @@ def dwt2_haar(grid) -> SubBands:
     lh = (a+b-c-d)/2, hh = (a-b-c+d)/2.  Energy is preserved.
 
     Each sum is taken left to right, so ``a+b`` and ``a-b`` are formed once
-    and every band is finished in place from one of them.  c and d, which
-    each band reads, are first gathered into contiguous planes.
+    and every band is finished in place from one of them.  The bands are
+    filled one row block of about ``_BLOCK`` band elements at a time: c and
+    d, which each band reads, are first gathered from the block's rows into
+    one reused pair of contiguous planes.  So beyond its input a call holds the
+    four bands (one image) plus two scratch planes of 128 KiB (one band
+    row each, where a row is longer).
     """
     x = np.asarray(grid, dtype=np.float64)
     h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"dimensions must be even, got {h}x{w}")
-    a = x[0::2, 0::2]
-    b = x[0::2, 1::2]
-    c, d = x[1::2].reshape(h // 2, w // 2, 2).transpose(2, 0, 1).copy()
-    lh = a + b
-    hh = a - b
-    ll = lh + c
-    ll += d
-    ll /= 2.0
-    hl = hh + c
-    hl -= d
-    hl /= 2.0
-    lh -= c
-    lh -= d
-    lh /= 2.0
-    hh -= c
-    hh += d
-    hh /= 2.0
+    h, w = h // 2, w // 2
+    ll, lh, hl, hh = (np.empty((h, w)) for _ in range(4))
+    rows = max(1, _BLOCK // max(w, 1))
+    gathered = np.empty((2, min(rows, h), w))
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        block = x[2 * i0 : 2 * i1]
+        cd = gathered[:, : i1 - i0]
+        np.copyto(cd, block[1::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
+        a, b = block[0::2, 0::2], block[0::2, 1::2]
+        c, d = cd
+        bll, blh, bhl, bhh = ll[i0:i1], lh[i0:i1], hl[i0:i1], hh[i0:i1]
+        np.add(a, b, out=blh)
+        np.subtract(a, b, out=bhh)
+        np.add(blh, c, out=bll)
+        bll += d
+        bll /= 2.0
+        np.add(bhh, c, out=bhl)
+        bhl -= d
+        bhl /= 2.0
+        blh -= c
+        blh -= d
+        blh /= 2.0
+        bhh -= c
+        bhh += d
+        bhh /= 2.0
     return SubBands(ll=ll, lh=lh, hl=hl, hh=hh)
 
 
@@ -87,32 +105,43 @@ def idwt2_haar(bands: SubBands) -> np.ndarray:
 
     Per block: a = (ll+hl+lh+hh)/2, b = (ll-hl+lh-hh)/2, c = (ll+hl-lh-hh)/2,
     d = (ll-hl-lh+hh)/2, each sum taken left to right from a shared
-    ``ll+hl`` or ``ll-hl``.
+    ``ll+hl`` or ``ll-hl``.  One row block of about ``_BLOCK`` band elements
+    at a time, the four output phases are formed in one reused set of three
+    contiguous planes and stored strided into the block's output rows.  So
+    beyond its bands a call holds the output (one image) plus three
+    scratch planes of 128 KiB (one band row each, where a row is longer).
     """
     ll, hl, lh, hh = (
         np.asarray(band, dtype=np.float64) for band in (bands.ll, bands.hl, bands.lh, bands.hh)
     )
     h, w = ll.shape
     out = np.empty((2 * h, 2 * w))
-    plus = ll + hl
-    minus = ll - hl
-    # the top row of each block goes through one contiguous scratch band
-    top = plus + lh
-    top += hh
-    top /= 2.0
-    out[0::2, 0::2] = top
-    np.add(minus, lh, out=top)
-    top -= hh
-    top /= 2.0
-    out[0::2, 1::2] = top
-    plus -= lh
-    plus -= hh
-    plus /= 2.0
-    out[1::2, 0::2] = plus
-    minus -= lh
-    minus += hh
-    minus /= 2.0
-    out[1::2, 1::2] = minus
+    rows = max(1, _BLOCK // max(w, 1))
+    scratch = np.empty((3, min(rows, h), w))
+    for i0 in range(0, h, rows):
+        i1 = min(i0 + rows, h)
+        bll, bhl, blh, bhh = ll[i0:i1], hl[i0:i1], lh[i0:i1], hh[i0:i1]
+        even, odd = out[2 * i0 : 2 * i1 : 2], out[2 * i0 + 1 : 2 * i1 : 2]
+        plus, minus, top = scratch[:, : i1 - i0]
+        np.add(bll, bhl, out=plus)
+        np.subtract(bll, bhl, out=minus)
+        # the top row of each block goes through one contiguous scratch plane
+        np.add(plus, blh, out=top)
+        top += bhh
+        top /= 2.0
+        even[:, 0::2] = top
+        np.add(minus, blh, out=top)
+        top -= bhh
+        top /= 2.0
+        even[:, 1::2] = top
+        plus -= blh
+        plus -= bhh
+        plus /= 2.0
+        odd[:, 0::2] = plus
+        minus -= blh
+        minus += bhh
+        minus /= 2.0
+        odd[:, 1::2] = minus
     return out
 
 

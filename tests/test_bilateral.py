@@ -322,6 +322,22 @@ def test_lanes_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores, strips
     assert spy_pool == list(range(1, cores if strips > 1 else 1))
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("sigma_r", [20.0, 1e-6])
+def test_padded_strips_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores, rows, sigma_r):
+    # window 11 on 12 rows: the first and last strips mirror all five rows
+    # beyond the image's edges, the strips next to them fewer; one-row strips too
+    h, w, params = 12, 20, BilateralParams(sigma_r=sigma_r, window=11)
+    monkeypatch.setattr(bilateral, "_STRIP_LANES", rows * (w + 10))
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = np.random.default_rng(rows).uniform(1.0, 255.0, (h, w))
+    assert np.array_equal(bilateral_filter(img, params), _shifted_sum_oracle(img, params))
+    # the image fills every core
+    assert spy_pool == list(range(1, cores))
+    assert np.array_equal(bilateral_filter(img.T, params), _shifted_sum_oracle(img.T, params))
+
+
 @pytest.mark.parametrize("cores", [2, 4])
 def test_small_main_thread_call_stays_on_one_lane(monkeypatch, spy_pool, cores):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)

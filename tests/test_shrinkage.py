@@ -162,6 +162,42 @@ def _neigh_brute_force(band, t_u, window):
     return out
 
 
+def _neigh_shrink_oracle(band, t_universal, window=3):
+    """NeighShrink as a sum over shifted whole images: the reference for neigh_shrink."""
+    y = np.asarray(band, dtype=np.float64)
+    if t_universal == 0:
+        return y.copy()
+    half = window // 2
+    padded = np.pad(y**2, half, mode="reflect")
+    s2 = np.zeros_like(y)
+    for dy in range(window):
+        for dx in range(window):
+            s2 += padded[dy : dy + y.shape[0], dx : dx + y.shape[1]]
+    factor = np.zeros_like(y)
+    np.divide(t_universal**2, s2, out=factor, where=s2 > 0)
+    return np.maximum(1.0 - factor, 0.0) * y
+
+
+@pytest.mark.parametrize("window", [1, 3, 5])
+def test_neigh_equals_oracle_bit_for_bit(window):
+    rng = np.random.default_rng(window)
+    # 1-row and 1-column bands keep numpy's reflect rule for a side shorter than the window
+    shapes = [(1, 1), (1, 9), (9, 1), (2, 5), (6, 4), (11, 7), (64, 64)]
+    for shape in shapes:
+        for t_u in (0.5, 3.0, 1e-3):
+            band = rng.normal(0.0, 2.0, shape)
+            draw = rng.random(shape)
+            # zeros, negative zeros, and squares that underflow to 0
+            band[draw < 0.2] = 0.0
+            band[(draw >= 0.2) & (draw < 0.3)] = -0.0
+            band[(draw >= 0.3) & (draw < 0.4)] = 1e-170
+            if shape == (64, 64):
+                band[10:20, 10:20] = 0.0  # all-zero windows
+            got, want = neigh_shrink(band, t_u, window), _neigh_shrink_oracle(band, t_u, window)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_neigh_matches_brute_force():
     rng = np.random.default_rng(77)
     for _ in range(20):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from denoisebench import wavelet
 from denoisebench.wavelet import (
     Pyramid,
     SubBands,
@@ -78,6 +79,31 @@ def test_idwt_accepts_integer_bands():
     rng = np.random.default_rng(14)
     bands = SubBands(*(rng.integers(-300, 300, (8, 6)) for _ in range(4)))
     np.testing.assert_array_equal(idwt2_haar(bands), _idwt2_haar_oracle(bands), strict=True)
+
+
+@pytest.mark.parametrize("block", [1, 6, 64])
+def test_haar_row_blocks_equal_oracles_exactly(monkeypatch, block):
+    # one band row per block, or blocks of several rows with a shorter last one
+    monkeypatch.setattr(wavelet, "_BLOCK", block)
+    rng = np.random.default_rng(15)
+    big = rng.normal(0.0, 50.0, (60, 340))
+    grids = [
+        rng.normal(0.0, 1e3, (26, 12)),
+        rng.integers(0, 256, (46, 20)),
+        rng.uniform(0.0, 255.0, (10, 300)),
+        big[1:27, 2:14],
+        big.T[3:47, :20],
+    ]
+    for grid in grids:
+        got = dwt2_haar(grid)
+        want = _dwt2_haar_oracle(grid)
+        for band in ("ll", "lh", "hl", "hh"):
+            np.testing.assert_array_equal(getattr(got, band), getattr(want, band), strict=True)
+        np.testing.assert_array_equal(idwt2_haar(got), _idwt2_haar_oracle(want), strict=True)
+    views = SubBands(*(big[3 * i : 3 * i + 50, 3:29].T for i in range(4)))
+    integers = SubBands(*(rng.integers(-300, 300, (23, 10)) for _ in range(4)))
+    for bands in (views, integers):
+        np.testing.assert_array_equal(idwt2_haar(bands), _idwt2_haar_oracle(bands), strict=True)
 
 
 def test_dwt_hand_example():
