@@ -10,14 +10,19 @@ the key's UTF-8 bytes through SplitMix64::
 The final ``h`` is the trial seed.  Identical configs therefore produce
 byte-identical CSVs regardless of worker count.
 
-A serial sweep (``workers=1``) builds the next cell's noisy image on one
-helper thread while the calling thread denoises and scores the current
-cell.  The helper belongs to one ``run_benchmark`` call and is joined when
-it returns; a noise error still fails only its own cell.  The calling thread
-allocates each noisy image and the helper fills it, so the sweep holds about
-one extra noisy image in memory and the helper's heap stays small.  A cell
-drops its noisy image once it is denoised, so scoring runs without it.  With
-``workers > 1`` each pool thread noises its own cells.
+A serial sweep (``workers=1``) noises the next cell on one helper thread
+while the calling thread denoises and scores the current cell.  Each noisy
+image is a set of chunks (``noise.add_awgn_chunk``) queued in cell order,
+and both threads claim them: the helper whenever it is free, the calling
+thread whenever its own cell's image is not yet complete, so neither thread
+idles while chunks are left.  Every chunk is a pure function of (seed,
+pixel), so the image is the same whichever thread fills which chunk.  The
+helper belongs to one ``run_benchmark`` call and is joined when it returns;
+a noise error fails only its own cell, whichever thread met it.  The calling
+thread allocates each noisy image, so the sweep holds about one extra noisy
+image in memory and the helper's heap stays small.  A cell drops its noisy
+image once it is denoised, so scoring runs without it.  With ``workers > 1``
+each pool thread noises its own cells.
 """
 
 import collections
@@ -25,15 +30,16 @@ import concurrent.futures
 import csv
 import math
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from denoisebench.imagecore import load_pgm, save_pgm
+from denoisebench.imagecore import as_image, load_pgm, save_pgm
 from denoisebench.metrics import evaluate
-from denoisebench.noise import NoiseModel, add_awgn
+from denoisebench.noise import NoiseModel, add_awgn, add_awgn_chunk, noise_chunks
 from denoisebench.pipelines import MethodConfig, denoise
 
 __all__ = [
@@ -121,23 +127,94 @@ def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, tria
     return h
 
 
-def _noisy(clean: np.ndarray, sigma: float, seed: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The noisy image of one cell; every cell's noise is made here."""
-    return add_awgn(clean, NoiseModel(sigma=sigma, seed=seed), out)
+class _NoisyImage:
+    """One serial-sweep cell's noisy image, filled chunk by chunk by either thread."""
+
+    def __init__(self, clean: np.ndarray, model: NoiseModel):
+        self.clean = clean
+        self.model = model
+        self.out = np.empty(clean.shape)
+        self.chunks = noise_chunks(clean.shape)
+        self.error: Exception | None = None
+        self._left = len(self.chunks)
+        self._lock = threading.Lock()
+        self.done = threading.Event()
+
+    def fill(self, k0: int) -> None:
+        """Fill one chunk; after an error the image's other chunks are skipped."""
+        try:
+            if self.error is None:
+                add_awgn_chunk(self.clean, self.model, self.out, k0)
+        except Exception as exc:
+            # a traceback would keep the failed chunk's view of `out` alive
+            self.error = exc.with_traceback(None)
+        with self._lock:
+            self._left -= 1
+            if not self._left:
+                self.done.set()
+
+    def take(self) -> np.ndarray:
+        """Wait for every chunk, then hand the image over; nothing here keeps it."""
+        self.done.wait()
+        if self.error is not None:
+            self.out = None
+            raise self.error
+        noisy, self.out = self.out, None
+        return noisy
+
+
+class _SharedNoise:
+    """A serial sweep's noisy images as one FIFO of chunk claims, in cell order.
+
+    `prefetch` runs on the calling thread and queues one helper task per
+    chunk; each task, and the calling thread while its own cell's image is
+    incomplete, fills whichever claim is next.
+    """
+
+    def __init__(self, helper: concurrent.futures.Executor):
+        self._helper = helper
+        self._images: collections.deque[_NoisyImage] = collections.deque()
+        self._claims: collections.deque[tuple[_NoisyImage, int]] = collections.deque()
+
+    def prefetch(self, clean: np.ndarray, sigma: float, seed: int) -> None:
+        image = _NoisyImage(clean, NoiseModel(sigma=sigma, seed=seed))
+        self._images.append(image)
+        for k0 in image.chunks:
+            self._claims.append((image, k0))
+            # `_fill_next` raises nothing: a chunk's error waits in its image
+            self._helper.submit(self._fill_next)
+
+    def _fill_next(self) -> bool:
+        """Fill the next claimed chunk; False if no claim was left."""
+        try:
+            image, k0 = self._claims.popleft()
+        except IndexError:
+            return False
+        image.fill(k0)
+        return True
+
+    def take(self) -> np.ndarray:
+        """The oldest prefetched cell's noisy image, filling claims until it is complete."""
+        image = self._images.popleft()
+        while not image.done.is_set() and self._fill_next():
+            pass
+        return image.take()
 
 
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
-              trial: int, config: BenchConfig,
-              noise: "collections.deque[concurrent.futures.Future] | None" = None) -> BenchRow:
-    """Run one cell; `noise`, if given, starts with a pending `_noisy` call for it.
+              trial: int, config: BenchConfig, noise: _SharedNoise | None = None) -> BenchRow:
+    """Run one cell; `noise`, if given, holds this cell's image as its oldest prefetch.
 
-    The cell takes that call out of `noise`, so once the noisy image is
+    The cell takes its noisy image from `noise`, so once the image is
     denoised nothing holds it.
     """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
     try:
-        noisy = _noisy(clean, sigma, seed) if noise is None else noise.popleft().result()
+        if noise is None:
+            noisy = add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
+        else:
+            noisy = noise.take()
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
@@ -159,14 +236,17 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
 def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = None) -> list[BenchRow]:
     """Run every (image, sigma, method, trial) cell; rows in deterministic order.
 
-    `images` may pre-supply loaded arrays keyed by image id (used for
-    synthetic sets); paths not found there are loaded as PGM.
+    `images` may pre-supply loaded arrays keyed by image path (used for
+    synthetic sets); paths not found there are loaded as PGM.  An unreadable
+    PGM or a supplied array that is no image (``imagecore.as_image``) stops
+    the sweep before any cell.
     """
     loaded: dict[str, np.ndarray] = {}
     for path in config.image_paths:
         image_id = Path(path).stem
         if images is not None and path in images:
-            loaded[image_id] = images[path]
+            # the serial sweep's noise chunks read the image as one flat run
+            loaded[image_id] = np.ascontiguousarray(as_image(images[path]))
         else:
             loaded[image_id] = load_pgm(path)
     if config.save_images_dir:
@@ -184,18 +264,20 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
     else:
-        # the helper noises cell i + 1 while this thread runs cell i
-        def prefetch(image_id, clean, sigma, mcfg, trial):
-            out = np.empty(np.shape(clean))
-            return helper.submit(lambda: _noisy(clean, sigma, derive_seed(
-                config.master_seed, image_id, sigma, mcfg.method, trial), out))
-
+        # the helper noises cell i + 1 while this thread runs cell i; this
+        # thread fills whatever its own cell's image still lacks
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
+            noise = _SharedNoise(helper)
+
+            def prefetch(image_id, clean, sigma, mcfg, trial):
+                noise.prefetch(clean, sigma, derive_seed(
+                    config.master_seed, image_id, sigma, mcfg.method, trial))
+
             rows = []
-            noise = collections.deque([prefetch(*cells[0])])
+            prefetch(*cells[0])
             for i, cell in enumerate(cells):
                 if i + 1 < len(cells):
-                    noise.append(prefetch(*cells[i + 1]))
+                    prefetch(*cells[i + 1])
                 rows.append(_run_cell(*cell, config, noise))
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows

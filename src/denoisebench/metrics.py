@@ -70,27 +70,34 @@ def uqi(reference, test) -> float:
     scaled by a power of two, which is exact and leaves the index unchanged.
     """
     ref, tst = _check_pair(reference, test)
+    return _uqi(ref, np.array(tst))
+
+
+def _uqi(ref: np.ndarray, g: np.ndarray) -> float:
+    """`uqi` of `g` against `ref`, using `g`, an array of its own, as scratch."""
     if ref.size < 2:
         raise ValueError("uqi needs at least 2 pixels")
     f = ref.ravel()
-    g = tst.ravel()
+    g = g.ravel()
     mf, mg = float(np.mean(f)), float(np.mean(g))
     if max(abs(mf), abs(mg)) < 2.0**-100:
         # fourth powers of such values underflow; bring the peak into [0.5, 1)
         shift = -math.frexp(max(float(np.max(np.abs(f))), float(np.max(np.abs(g)))))[1]
-        f, g = np.ldexp(f, shift), np.ldexp(g, shift)
+        f = np.ldexp(f, shift)
+        np.ldexp(g, shift, out=g)
         mf, mg = float(np.mean(f)), float(np.mean(g))
     n1 = f.size - 1
-    # f - mf and g - mg are formed once each; two work arrays hold every term
-    df = f - mf
-    work = np.square(df)
-    var_f = float(np.sum(work)) / n1
-    dg = np.subtract(g, mg, out=work)
-    cov = float(np.sum(np.multiply(df, dg, out=df))) / n1
-    var_g = float(np.sum(np.square(dg, out=dg))) / n1
-    if var_f == 0.0 and var_g == 0.0:
-        return 1.0 if np.array_equal(f, g) else 0.0
-    if var_f == 0.0 or var_g == 0.0 or (mf == 0.0 and mg == 0.0):
+    # one work array beside `g`: f - mf is formed twice, g - mg once, in place
+    work = np.subtract(f, mf)
+    var_f = float(np.sum(np.square(work, out=work))) / n1
+    if var_f == 0.0:
+        # the only case that reads `g` itself, so it runs before `g` is overwritten
+        var_g = float(np.sum(np.square(np.subtract(g, mg, out=work), out=work))) / n1
+        return 1.0 if var_g == 0.0 and np.array_equal(f, g) else 0.0
+    dg = np.subtract(g, mg, out=g)
+    var_g = float(np.sum(np.square(dg, out=work))) / n1
+    cov = float(np.sum(np.multiply(np.subtract(f, mf, out=work), dg, out=work))) / n1
+    if var_g == 0.0 or (mf == 0.0 and mg == 0.0):
         return 0.0
     # grouped as (4 cov mf mg) / ((var_f + var_g)(mf^2 + mg^2)): the usual
     # correlation/luminance/contrast factors with the sigma_f*sigma_g terms
@@ -105,13 +112,13 @@ def evaluate(reference, test, clamp: bool = True) -> MetricsReport:
     scoring, matching what a viewer of the saved image would see.
     """
     ref, tst = _check_pair(reference, test)
-    if clamp:
-        tst = np.clip(tst, 0.0, PEAK)
-    mse, rmse, mae = mse_rmse_mae(ref, tst)
+    # this call's own copy of the test image, which the index then uses as scratch
+    own = np.clip(tst, 0.0, PEAK) if clamp else np.array(tst)
+    mse, rmse, mae = mse_rmse_mae(ref, own)
     return MetricsReport(
         mse=mse,
         rmse=rmse,
         mae=mae,
         psnr_db=_psnr_from_mse(mse),
-        uqi=uqi(ref, tst),
+        uqi=_uqi(ref, own),
     )

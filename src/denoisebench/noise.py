@@ -27,11 +27,15 @@ Because output i depends only on (seed, i), the uniforms are drawn as two
 contiguous runs, ``u_{2k}`` from outputs 0, 2, 4, ... and ``u_{2k+1}`` from
 outputs 1, 3, 5, ...; this changes no value.  The field is filled in chunks
 of 32 Ki pairs, each drawing its own two runs, so the work arrays stay small
-whatever the image size; every deviate sees the same operations either way.
-The field can be written into an array the caller allocated (``out``), so a
-thread that only generates noise holds no image-sized memory of its own.
+whatever the image size.  A noisy image is filled by the same chunks
+(:func:`add_awgn_chunk`), which are independent of each other, so several
+threads may fill one image, each chunk once, in any order; every deviate
+sees the same operations whichever thread fills its chunk.  The field can be
+written into an array the caller allocated (``out``), so a thread that only
+generates noise holds no image-sized memory of its own.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -44,13 +48,15 @@ __all__ = [
     "splitmix64_stream",
     "gaussian_field",
     "add_awgn",
+    "add_awgn_chunk",
+    "noise_chunks",
     "estimate_noise_mad",
     "MAD_GAUSSIAN_CONSISTENCY",
 ]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
-# Gaussian pairs per chunk of gaussian_field
+# Gaussian pairs per chunk of a noise field
 _CHUNK_PAIRS = 1 << 15
 
 # Standard Gaussian consistency constant for the median absolute deviation
@@ -117,38 +123,67 @@ def _uniforms(seed: int, j: int, k0: int, work: np.ndarray) -> np.ndarray:
     return u
 
 
+def noise_chunks(shape: tuple[int, ...]) -> range:
+    """First Gaussian pair of each chunk of a noise field of `shape`."""
+    return range(0, (math.prod(shape) + 1) // 2, _CHUNK_PAIRS)
+
+
+def _field_out(shape: tuple[int, int], out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty(shape)
+    if out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
+    return out
+
+
+def _gaussian_chunk(seed: int, k0: int, dest: np.ndarray) -> None:
+    """Write deviates 2*k0 onwards of the field for `seed` into the 1-D `dest`."""
+    # row k of `rows` holds deviates 2k and 2k+1; an odd last deviate is
+    # paired in a spare array and copied out
+    odd = dest.size % 2
+    rows = np.empty((dest.size // 2 + 1, 2)) if odd else dest.reshape(-1, 2)
+    # until cos and sin fill these rows, their first half is the runs' work array
+    work = rows.ravel()[: len(rows)]
+    r = _uniforms(seed, 0, k0, work)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = _uniforms(seed, 1, k0, work)
+    theta *= 2.0 * np.pi
+    np.cos(theta, out=rows[:, 0])
+    np.sin(theta, out=rows[:, 1])
+    rows[:, 0] *= r
+    rows[:, 1] *= r
+    if odd:
+        dest[:] = rows.ravel()[: dest.size]
+
+
 def gaussian_field(seed: int, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
     """Standard-normal field of the given shape, filled in row-major order.
 
     `out`, if given, is a C-contiguous float64 array of that shape; the field
     is written there and `out` is returned.
     """
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
+    out = _field_out(shape, out)
     flat = out.reshape(-1)
-    for k0 in range(0, (flat.size + 1) // 2, _CHUNK_PAIRS):
-        dest = flat[2 * k0 : 2 * (k0 + _CHUNK_PAIRS)]
-        # row k of `rows` holds deviates 2k and 2k+1; an odd last deviate is
-        # paired in a spare array and copied out
-        odd = dest.size % 2
-        rows = np.empty((dest.size // 2 + 1, 2)) if odd else dest.reshape(-1, 2)
-        # until cos and sin fill these rows, their first half is the runs' work array
-        work = rows.ravel()[: len(rows)]
-        r = _uniforms(seed, 0, k0, work)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        theta = _uniforms(seed, 1, k0, work)
-        theta *= 2.0 * np.pi
-        np.cos(theta, out=rows[:, 0])
-        np.sin(theta, out=rows[:, 1])
-        rows[:, 0] *= r
-        rows[:, 1] *= r
-        if odd:
-            dest[:] = rows.ravel()[: dest.size]
+    for k0 in noise_chunks(shape):
+        _gaussian_chunk(seed, k0, flat[2 * k0 : 2 * (k0 + _CHUNK_PAIRS)])
     return out
+
+
+def add_awgn_chunk(image: np.ndarray, model: NoiseModel, out: np.ndarray, k0: int) -> None:
+    """Write the chunk of ``add_awgn(image, model)`` that starts at pair `k0` into `out`.
+
+    `k0` is an item of ``noise_chunks(image.shape)``.  `image` is a
+    C-contiguous float64 image with finite samples, as ``add_awgn`` takes it
+    once coerced, and `out` a C-contiguous float64 array of its shape.  The
+    chunk reads and writes only its own pixels.
+    """
+    lo, hi = 2 * k0, 2 * (k0 + _CHUNK_PAIRS)
+    dest = out.reshape(-1)[lo:hi]
+    _gaussian_chunk(model.seed, k0, dest)
+    dest *= model.sigma
+    dest += image.reshape(-1)[lo:hi]
 
 
 def add_awgn(image, model: NoiseModel, out: np.ndarray | None = None) -> np.ndarray:
@@ -156,11 +191,11 @@ def add_awgn(image, model: NoiseModel, out: np.ndarray | None = None) -> np.ndar
 
     `out`, if given, receives the noisy image as in :func:`gaussian_field`.
     """
-    img = as_image(image)
-    noisy = gaussian_field(model.seed, img.shape, out)
-    noisy *= model.sigma
-    noisy += img
-    return noisy
+    img = np.ascontiguousarray(as_image(image))
+    out = _field_out(img.shape, out)
+    for k0 in noise_chunks(img.shape):
+        add_awgn_chunk(img, model, out, k0)
+    return out
 
 
 def estimate_noise_mad(finest_hh) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import denoisebench
-from denoisebench import bench, bilateral
+from denoisebench import bench, bilateral, noise
 from denoisebench.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -146,8 +146,8 @@ def test_failed_cell_yields_nan_row(tmp_path, capsys):
 
 @pytest.mark.parametrize("failing", [0, 3, 7])
 def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing):
-    # the serial sweep noises the next cell on a helper thread; an error there
-    # must land in its own cell, first, middle or last
+    # the serial sweep noises the next cell on a helper thread and the calling
+    # thread; an error in either must land in its own cell, first, middle or last
     config = _tiny_config(tmp_path)
     want = run_benchmark(config)
     capsys.readouterr()
@@ -155,14 +155,14 @@ def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing)
              for t in range(1, config.trials + 1)]
     sigma, method, trial = cells[failing]
     bad_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
-    add_awgn = bench.add_awgn
+    add_awgn_chunk = bench.add_awgn_chunk
 
-    def flaky_awgn(image, model, out=None):
+    def flaky_chunk(image, model, out, k0):
         if model.seed == bad_seed:
             raise RuntimeError("no noise today")
-        return add_awgn(image, model, out)
+        add_awgn_chunk(image, model, out, k0)
 
-    monkeypatch.setattr(bench, "add_awgn", flaky_awgn)
+    monkeypatch.setattr(bench, "add_awgn_chunk", flaky_chunk)
     got = run_benchmark(config)
     assert capsys.readouterr().err == (
         f"bench: cell (tex64, sigma={sigma:g}, {method}, trial {trial}) "
@@ -211,6 +211,147 @@ def test_cell_frees_its_noisy_image_before_scoring(tmp_path, monkeypatch, worker
     rows = run_benchmark(_tiny_config(tmp_path, workers=workers))
     assert not any(math.isnan(r.psnr_db) for r in rows)
     assert len(rows) == 8 and freed == [True] * 8
+
+
+def test_run_benchmark_leaves_no_thread_behind_with_small_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(noise, "_CHUNK_PAIRS", 7)
+    test_run_benchmark_leaves_no_thread_behind(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_frees_its_noisy_image_before_scoring_with_small_chunks(tmp_path, monkeypatch,
+                                                                     workers):
+    # a 64x64 image is 293 chunks of 7 pairs, filled by both serial threads
+    monkeypatch.setattr(noise, "_CHUNK_PAIRS", 7)
+    test_cell_frees_its_noisy_image_before_scoring(tmp_path, monkeypatch, workers)
+
+
+def _share_noise_chunks(monkeypatch, filler):
+    """Make the serial sweep's chunks small and let `filler` fill them.
+
+    `filler` is "caller" or "helper" for one thread to fill every chunk, or
+    "both" for the helper to wait until the calling thread has filled one
+    chunk, and the calling thread then to wait until the helper has filled
+    one, so that both fill chunks of the first image.  Returns the list of
+    (thread ident, seed) of each filled chunk.
+    """
+    monkeypatch.setattr(noise, "_CHUNK_PAIRS", 7)
+    caller = threading.get_ident()
+    go, helper_went = threading.Event(), threading.Event()
+    fills = []
+    real_fill_next, real_chunk = bench._SharedNoise._fill_next, bench.add_awgn_chunk
+
+    def fill_next(self):
+        on_caller = threading.get_ident() == caller
+        if filler == ("helper" if on_caller else "caller"):
+            return False
+        if filler == "both" and not on_caller:
+            assert go.wait(10)
+        filled = real_fill_next(self)
+        if filler == "both" and filled:
+            if on_caller and not go.is_set():
+                go.set()
+                assert helper_went.wait(10)
+            elif not on_caller:
+                helper_went.set()
+        return filled
+
+    def chunk(image, model, out, k0):
+        fills.append((threading.get_ident(), model.seed))
+        real_chunk(image, model, out, k0)
+
+    monkeypatch.setattr(bench._SharedNoise, "_fill_next", fill_next)
+    monkeypatch.setattr(bench, "add_awgn_chunk", chunk)
+    return fills
+
+
+@pytest.mark.parametrize("filler", ["caller", "helper", "both"])
+@pytest.mark.parametrize("shape", [(64, 64), (63, 65), (1, 1)])
+def test_serial_noise_equals_add_awgn_whoever_fills_the_chunks(tmp_path, monkeypatch, filler,
+                                                               shape):
+    fills = _share_noise_chunks(monkeypatch, filler)
+    caller = threading.get_ident()
+    received = []
+
+    def denoise_spy(noisy, mcfg):
+        received.append(noisy.copy())
+        return noisy
+
+    monkeypatch.setattr(bench, "denoise", denoise_spy)
+    clean = texture_image(128)[: shape[0], : shape[1]]
+    path = str(tmp_path / "img.pgm")
+    config = _tiny_config(tmp_path, image_paths=(path,))
+    run_benchmark(config, images={path: clean})
+    cells = [(s, m.method, t) for s in config.sigmas for m in config.methods
+             for t in range(1, config.trials + 1)]
+    assert len(received) == len(cells)
+    for got, (sigma, method, trial) in zip(received, cells):
+        seed = derive_seed(config.master_seed, "img", sigma, method, trial)
+        assert np.array_equal(got, add_awgn(clean, NoiseModel(sigma=sigma, seed=seed)))
+    chunks = len(noise.noise_chunks(shape))
+    assert len(fills) == len(cells) * chunks
+    threads = {t for t, _ in fills}
+    if filler == "caller":
+        assert threads == {caller}
+    elif filler == "helper":
+        assert caller not in threads
+    else:
+        assert len(threads) == 2
+        if chunks > 1:  # both threads filled the first image
+            assert len({t for t, seed in fills if seed == fills[0][1]}) == 2
+
+
+def test_shared_noise_under_fast_thread_switches(tmp_path, monkeypatch):
+    # one pair per chunk and a thread switch every microsecond: a lost count
+    # would hang the sweep or hand a cell an incomplete image
+    config = _tiny_config(tmp_path)
+    want = run_benchmark(config)
+    monkeypatch.setattr(noise, "_CHUNK_PAIRS", 1)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sweep = threading.Thread(target=lambda: got.extend(run_benchmark(config)), daemon=True)
+        sweep.start()
+        sweep.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not sweep.is_alive()
+    assert got == want
+
+
+def test_noise_error_in_a_chunk_the_calling_thread_fills_fails_only_its_cell(
+        tmp_path, capsys, monkeypatch):
+    config = _tiny_config(tmp_path)
+    want = run_benchmark(config)
+    capsys.readouterr()
+    fills = _share_noise_chunks(monkeypatch, "caller")
+    bad_seed = derive_seed(config.master_seed, "tex64", 30.0, "visu", 2)
+    add_awgn_chunk = bench.add_awgn_chunk
+
+    def flaky_chunk(image, model, out, k0):
+        if model.seed == bad_seed and k0 == 7 * 100:
+            raise RuntimeError("no noise today")
+        add_awgn_chunk(image, model, out, k0)
+
+    monkeypatch.setattr(bench, "add_awgn_chunk", flaky_chunk)
+    got = run_benchmark(config)
+    assert {t for t, _ in fills} == {threading.get_ident()}
+    assert capsys.readouterr().err == (
+        "bench: cell (tex64, sigma=30, visu, trial 2) failed: no noise today\n")
+    for g, w in zip(got, want, strict=True):
+        if (g.sigma, g.method, g.trial) == (30.0, "visu", 2):
+            assert g.seed == bad_seed and math.isnan(g.psnr_db)
+        else:
+            assert g == w
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_supplied_image_is_checked_before_any_cell(tmp_path, workers):
+    path = str(tmp_path / "bad.pgm")
+    config = _tiny_config(tmp_path, image_paths=(path,), workers=workers)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_benchmark(config, images={path: np.full((8, 8), np.nan)})
 
 
 def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):

@@ -189,3 +189,80 @@ def test_mse_mae_bit_identical_to_two_temporaries(shape):
     assert mse_rmse_mae(ref, test) == (
         float(np.mean(diff**2)), math.sqrt(float(np.mean(diff**2))), float(np.mean(np.abs(diff)))
     )
+
+
+def _evaluate_oracle(reference, test, clamp=True):
+    """`evaluate` with a third work array, as it was before it reused its clipped copy."""
+    ref = np.asarray(reference, dtype=np.float64)
+    tst = np.asarray(test, dtype=np.float64)
+    if clamp:
+        tst = np.clip(tst, 0.0, PEAK)
+    diff = tst - ref
+    np.abs(diff, out=diff)
+    mae = float(np.mean(diff))
+    np.square(diff, out=diff)
+    mse = float(np.mean(diff))
+    if ref.size < 2:
+        raise ValueError("uqi needs at least 2 pixels")
+    f = ref.ravel()
+    g = tst.ravel()
+    mf, mg = float(np.mean(f)), float(np.mean(g))
+    if max(abs(mf), abs(mg)) < 2.0**-100:
+        shift = -math.frexp(max(float(np.max(np.abs(f))), float(np.max(np.abs(g)))))[1]
+        f, g = np.ldexp(f, shift), np.ldexp(g, shift)
+        mf, mg = float(np.mean(f)), float(np.mean(g))
+    n1 = f.size - 1
+    df = f - mf
+    work = np.square(df)
+    var_f = float(np.sum(work)) / n1
+    dg = np.subtract(g, mg, out=work)
+    cov = float(np.sum(np.multiply(df, dg, out=df))) / n1
+    var_g = float(np.sum(np.square(dg, out=dg))) / n1
+    if var_f == 0.0 and var_g == 0.0:
+        q = 1.0 if np.array_equal(f, g) else 0.0
+    elif var_f == 0.0 or var_g == 0.0 or (mf == 0.0 and mg == 0.0):
+        q = 0.0
+    else:
+        q = 4.0 * cov * mf * mg / ((var_f + var_g) * (mf**2 + mg**2))
+    p = math.inf if mse == 0.0 else 10.0 * math.log10(PEAK**2 / mse)
+    return mse, math.sqrt(mse), mae, p, q
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _evaluate_cases():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        shape = tuple(rng.integers(1, 41, 2))
+        if shape == (1, 1):
+            shape = (1, 2)
+        ref = rng.uniform(-20.0, 280.0, shape)
+        yield ref, rng.normal(ref, rng.uniform(0.5, 60.0))
+    for shape in ((1, 2), (2, 1)):
+        yield np.array([[3.0, 7.0]]).reshape(shape), np.array([[8.0, -1.0]]).reshape(shape)
+        yield np.full(shape, 5.0), np.full(shape, 5.0)
+    square = rng.uniform(0.0, 255.0, (9, 9))
+    yield np.full((9, 9), 40.0), np.full((9, 9), 40.0)  # identical constants
+    yield np.full((9, 9), 40.0), np.full((9, 9), 41.0)  # different constants
+    yield np.full((9, 9), 40.0), square  # one variance zero
+    yield square, np.full((9, 9), 300.0)  # constant once clamped
+    yield np.zeros((9, 9)), np.zeros((9, 9))
+    yield square * 2.0**-1000, rng.uniform(0.0, 255.0, (9, 9)) * 2.0**-1000  # means below 2^-100
+    yield _near_zero_image(5e-324), _near_zero_image(1e-300)
+    yield square, np.where(square > 128.0, np.nan, square)
+
+
+def test_evaluate_bit_identical_to_three_work_arrays():
+    for ref, test in _evaluate_cases():
+        kept = ref.copy(), test.copy()
+        for clamp in (True, False):
+            got = evaluate(ref, test, clamp=clamp)
+            want = _evaluate_oracle(ref, test, clamp=clamp)
+            assert _bits((got.mse, got.rmse, got.mae, got.psnr_db, got.uqi)) == _bits(want), (
+                ref.shape, clamp)
+        assert _bits((*mse_rmse_mae(ref, test), uqi(ref, test))) == _bits(want[:3] + want[4:])
+        # neither the scores nor their parts write into the caller's arrays
+        assert np.array_equal(ref, kept[0], equal_nan=True)
+        assert np.array_equal(test, kept[1], equal_nan=True)

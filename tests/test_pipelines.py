@@ -278,6 +278,7 @@ def test_working_set_in_image_copies(texture512, method, bound):
 
 
 def test_scoring_working_set_in_image_copies(texture512):
-    # a sweep cell scores after its noisy image is freed
+    # a sweep cell scores after its noisy image is freed; `evaluate` holds its
+    # clipped copy of the test image and one work array
     denoised = denoise(add_awgn(texture512, NoiseModel(sigma=30.0, seed=1)), MethodConfig())
-    assert _copies_held(evaluate, texture512, denoised) <= 3.05
+    assert _copies_held(evaluate, texture512, denoised) <= 2.1
