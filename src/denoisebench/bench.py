@@ -12,17 +12,18 @@ byte-identical CSVs regardless of worker count.
 
 A serial sweep (``workers=1``) noises the next cell on one helper thread
 while the calling thread denoises and scores the current cell.  Each noisy
-image is a set of chunks (``noise.add_awgn_chunk``) queued in cell order,
-and both threads claim them: the helper whenever it is free, the calling
-thread whenever its own cell's image is not yet complete, so neither thread
-idles while chunks are left.  Every chunk is a pure function of (seed,
-pixel), so the image is the same whichever thread fills which chunk.  The
-helper belongs to one ``run_benchmark`` call and is joined when it returns;
-a noise error fails only its own cell, whichever thread met it.  The calling
-thread allocates each noisy image, so the sweep holds about one extra noisy
-image in memory and the helper's heap stays small.  A cell drops its noisy
-image once it is denoised, so scoring runs without it.  With ``workers > 1``
-each pool thread noises its own cells.
+image holds a deque of its chunks (``noise.add_awgn_chunk``), and both
+threads pop from it: the helper runs one task per cell, and the calling
+thread first fills what is left of its own cell's image, then the next
+cell's chunks until the helper is done with its last chunk of this one.
+Every chunk is a pure function of (seed, pixel), so the image is the same
+whichever thread fills which chunk.  The helper belongs to one
+``run_benchmark`` call and is joined when it returns; a noise error fails
+only the cell whose image it was filling, whichever thread met it.  The
+calling thread allocates each noisy image, so the sweep holds about one
+extra noisy image in memory and the helper's heap stays small.  A cell
+drops its noisy image once it is denoised, so scoring runs without it.
+With ``workers > 1`` each pool thread noises its own cells.
 """
 
 import collections
@@ -30,7 +31,6 @@ import concurrent.futures
 import csv
 import math
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,85 +128,35 @@ def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, tria
 
 
 class _NoisyImage:
-    """One serial-sweep cell's noisy image, filled chunk by chunk by either thread."""
+    """One serial-sweep cell's noisy image: a deque of chunks that either thread pops and fills."""
 
-    def __init__(self, clean: np.ndarray, model: NoiseModel):
+    def __init__(self, clean: np.ndarray, sigma: float, seed: int):
         self.clean = clean
-        self.model = model
+        self.model = NoiseModel(sigma=sigma, seed=seed)
         self.out = np.empty(clean.shape)
-        self.chunks = noise_chunks(clean.shape)
+        self.chunks = collections.deque(noise_chunks(clean.shape))
         self.error: Exception | None = None
-        self._left = len(self.chunks)
-        self._lock = threading.Lock()
-        self.done = threading.Event()
 
-    def fill(self, k0: int) -> None:
-        """Fill one chunk; after an error the image's other chunks are skipped."""
-        try:
-            if self.error is None:
+    def fill(self, until=None) -> None:
+        """Fill chunks until none is left, an error is kept or `until()` is true."""
+        while self.error is None and not (until and until()):
+            try:
+                k0 = self.chunks.popleft()
+            except IndexError:
+                return
+            try:
                 add_awgn_chunk(self.clean, self.model, self.out, k0)
-        except Exception as exc:
-            # a traceback would keep the failed chunk's view of `out` alive
-            self.error = exc.with_traceback(None)
-        with self._lock:
-            self._left -= 1
-            if not self._left:
-                self.done.set()
-
-    def take(self) -> np.ndarray:
-        """Wait for every chunk, then hand the image over; nothing here keeps it."""
-        self.done.wait()
-        if self.error is not None:
-            self.out = None
-            raise self.error
-        noisy, self.out = self.out, None
-        return noisy
-
-
-class _SharedNoise:
-    """A serial sweep's noisy images as one FIFO of chunk claims, in cell order.
-
-    `prefetch` runs on the calling thread and queues one helper task per
-    chunk; each task, and the calling thread while its own cell's image is
-    incomplete, fills whichever claim is next.
-    """
-
-    def __init__(self, helper: concurrent.futures.Executor):
-        self._helper = helper
-        self._images: collections.deque[_NoisyImage] = collections.deque()
-        self._claims: collections.deque[tuple[_NoisyImage, int]] = collections.deque()
-
-    def prefetch(self, clean: np.ndarray, sigma: float, seed: int) -> None:
-        image = _NoisyImage(clean, NoiseModel(sigma=sigma, seed=seed))
-        self._images.append(image)
-        for k0 in image.chunks:
-            self._claims.append((image, k0))
-            # `_fill_next` raises nothing: a chunk's error waits in its image
-            self._helper.submit(self._fill_next)
-
-    def _fill_next(self) -> bool:
-        """Fill the next claimed chunk; False if no claim was left."""
-        try:
-            image, k0 = self._claims.popleft()
-        except IndexError:
-            return False
-        image.fill(k0)
-        return True
-
-    def take(self) -> np.ndarray:
-        """The oldest prefetched cell's noisy image, filling claims until it is complete."""
-        image = self._images.popleft()
-        while not image.done.is_set() and self._fill_next():
-            pass
-        return image.take()
+            except Exception as exc:
+                # a traceback would keep the failed chunk's view of `out` alive
+                self.error = exc.with_traceback(None)
 
 
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
-              trial: int, config: BenchConfig, noise: _SharedNoise | None = None) -> BenchRow:
-    """Run one cell; `noise`, if given, holds this cell's image as its oldest prefetch.
+              trial: int, config: BenchConfig, noise=None) -> BenchRow:
+    """Run one cell; `noise`, if given, is (its noisy image, the helper's future, the next image).
 
-    The cell takes its noisy image from `noise`, so once the image is
-    denoised nothing holds it.
+    The cell takes `out` from its noisy image, so once it is denoised
+    nothing holds it.
     """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
@@ -214,7 +164,16 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
         if noise is None:
             noisy = add_awgn(clean, NoiseModel(sigma=sigma, seed=seed))
         else:
-            noisy = noise.take()
+            image, filling, next_image = noise
+            image.fill()
+            if next_image is not None:
+                # until the helper is done with `image`
+                next_image.fill(until=filling.done)
+            filling.result()
+            if image.error is not None:
+                image.out = None
+                raise image.error
+            noisy, image.out = image.out, None
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
@@ -265,20 +224,21 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
             rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
     else:
         # the helper noises cell i + 1 while this thread runs cell i; this
-        # thread fills whatever its own cell's image still lacks
+        # thread fills whatever its own cell's image still lacks, then cell
+        # i + 1's chunks while it waits
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
-            noise = _SharedNoise(helper)
 
             def prefetch(image_id, clean, sigma, mcfg, trial):
-                noise.prefetch(clean, sigma, derive_seed(
+                image = _NoisyImage(clean, sigma, derive_seed(
                     config.master_seed, image_id, sigma, mcfg.method, trial))
+                return image, helper.submit(image.fill)
 
             rows = []
-            prefetch(*cells[0])
-            for i, cell in enumerate(cells):
-                if i + 1 < len(cells):
-                    prefetch(*cells[i + 1])
-                rows.append(_run_cell(*cell, config, noise))
+            image, filling = prefetch(*cells[0])
+            for i, cell in enumerate(cells, 1):
+                next_image, next_filling = prefetch(*cells[i]) if i < len(cells) else (None, None)
+                rows.append(_run_cell(*cell, config, (image, filling, next_image)))
+                image, filling = next_image, next_filling
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows
 

@@ -30,9 +30,9 @@ of 32 Ki pairs, each drawing its own two runs, so the work arrays stay small
 whatever the image size.  A noisy image is filled by the same chunks
 (:func:`add_awgn_chunk`), which are independent of each other, so several
 threads may fill one image, each chunk once, in any order; every deviate
-sees the same operations whichever thread fills its chunk.  The field can be
-written into an array the caller allocated (``out``), so a thread that only
-generates noise holds no image-sized memory of its own.
+sees the same operations whichever thread fills its chunk.  A chunk is
+written into an array the caller allocated, so a thread that only fills
+chunks holds no image-sized memory of its own.
 """
 
 import math
@@ -128,14 +128,6 @@ def noise_chunks(shape: tuple[int, ...]) -> range:
     return range(0, (math.prod(shape) + 1) // 2, _CHUNK_PAIRS)
 
 
-def _field_out(shape: tuple[int, int], out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        return np.empty(shape)
-    if out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
-    return out
-
-
 def _gaussian_chunk(seed: int, k0: int, dest: np.ndarray) -> None:
     """Write deviates 2*k0 onwards of the field for `seed` into the 1-D `dest`."""
     # row k of `rows` holds deviates 2k and 2k+1; an odd last deviate is
@@ -164,7 +156,10 @@ def gaussian_field(seed: int, shape: tuple[int, int], out: np.ndarray | None = N
     `out`, if given, is a C-contiguous float64 array of that shape; the field
     is written there and `out` is returned.
     """
-    out = _field_out(shape, out)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
     flat = out.reshape(-1)
     for k0 in noise_chunks(shape):
         _gaussian_chunk(seed, k0, flat[2 * k0 : 2 * (k0 + _CHUNK_PAIRS)])
@@ -186,13 +181,10 @@ def add_awgn_chunk(image: np.ndarray, model: NoiseModel, out: np.ndarray, k0: in
     dest += image.reshape(-1)[lo:hi]
 
 
-def add_awgn(image, model: NoiseModel, out: np.ndarray | None = None) -> np.ndarray:
-    """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped.
-
-    `out`, if given, receives the noisy image as in :func:`gaussian_field`.
-    """
+def add_awgn(image, model: NoiseModel) -> np.ndarray:
+    """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped."""
     img = np.ascontiguousarray(as_image(image))
-    out = _field_out(img.shape, out)
+    out = np.empty(img.shape)
     for k0 in noise_chunks(img.shape):
         add_awgn_chunk(img, model, out, k0)
     return out

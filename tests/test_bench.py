@@ -239,28 +239,26 @@ def _share_noise_chunks(monkeypatch, filler):
     caller = threading.get_ident()
     go, helper_went = threading.Event(), threading.Event()
     fills = []
-    real_fill_next, real_chunk = bench._SharedNoise._fill_next, bench.add_awgn_chunk
+    real_fill, real_chunk = bench._NoisyImage.fill, bench.add_awgn_chunk
 
-    def fill_next(self):
+    def fill(self, until=None):
+        if filler != ("helper" if threading.get_ident() == caller else "caller"):
+            real_fill(self, until)
+
+    def chunk(image, model, out, k0):
         on_caller = threading.get_ident() == caller
-        if filler == ("helper" if on_caller else "caller"):
-            return False
         if filler == "both" and not on_caller:
             assert go.wait(10)
-        filled = real_fill_next(self)
-        if filler == "both" and filled:
+        fills.append((threading.get_ident(), model.seed))
+        real_chunk(image, model, out, k0)
+        if filler == "both":
             if on_caller and not go.is_set():
                 go.set()
                 assert helper_went.wait(10)
             elif not on_caller:
                 helper_went.set()
-        return filled
 
-    def chunk(image, model, out, k0):
-        fills.append((threading.get_ident(), model.seed))
-        real_chunk(image, model, out, k0)
-
-    monkeypatch.setattr(bench._SharedNoise, "_fill_next", fill_next)
+    monkeypatch.setattr(bench._NoisyImage, "fill", fill)
     monkeypatch.setattr(bench, "add_awgn_chunk", chunk)
     return fills
 
@@ -341,6 +339,50 @@ def test_noise_error_in_a_chunk_the_calling_thread_fills_fails_only_its_cell(
         "bench: cell (tex64, sigma=30, visu, trial 2) failed: no noise today\n")
     for g, w in zip(got, want, strict=True):
         if (g.sigma, g.method, g.trial) == (30.0, "visu", 2):
+            assert g.seed == bad_seed and math.isnan(g.psnr_db)
+        else:
+            assert g == w
+
+
+def test_noise_error_in_a_next_cell_chunk_the_calling_thread_fills_fails_only_that_cell(
+        tmp_path, capsys, monkeypatch):
+    # the helper is held on its last chunk of cell 3's image, so the calling
+    # thread, done with that image, fills cell 4's chunks meanwhile; the first
+    # one raises, and the error belongs to cell 4, not to the cell being run
+    config = _tiny_config(tmp_path)
+    want = run_benchmark(config)
+    capsys.readouterr()
+    monkeypatch.setattr(noise, "_CHUNK_PAIRS", 7)
+    caller = threading.get_ident()
+    (sigma, method, trial), (bad_sigma, bad_method, bad_trial) = [
+        (s, m.method, t) for s in config.sigmas for m in config.methods
+        for t in range(1, config.trials + 1)][3:5]
+    held_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
+    bad_seed = derive_seed(config.master_seed, "tex64", bad_sigma, bad_method, bad_trial)
+    held, release, raised = threading.Event(), threading.Event(), []
+    add_awgn_chunk = bench.add_awgn_chunk
+
+    def gated_chunk(image, model, out, k0):
+        on_caller = threading.get_ident() == caller
+        if model.seed == held_seed and on_caller:
+            assert held.wait(10)
+        elif model.seed == held_seed and not held.is_set():
+            held.set()
+            assert release.wait(10)
+        elif model.seed == bad_seed and on_caller:
+            raised.append(held.is_set() and not release.is_set())
+            release.set()
+            raise RuntimeError("no noise today")
+        add_awgn_chunk(image, model, out, k0)
+
+    monkeypatch.setattr(bench, "add_awgn_chunk", gated_chunk)
+    got = run_benchmark(config)
+    assert raised == [True]
+    assert capsys.readouterr().err == (
+        f"bench: cell (tex64, sigma={bad_sigma:g}, {bad_method}, trial {bad_trial}) "
+        "failed: no noise today\n")
+    for g, w in zip(got, want, strict=True):
+        if (g.sigma, g.method, g.trial) == (bad_sigma, bad_method, bad_trial):
             assert g.seed == bad_seed and math.isnan(g.psnr_db)
         else:
             assert g == w
