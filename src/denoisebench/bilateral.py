@@ -4,18 +4,11 @@ Each output pixel is the normalized weighted sum of its window neighborhood,
 with Gaussian weights on squared Euclidean pixel distance (sigma_d) and on
 intensity difference (sigma_r).  Borders use reflect-101 mirroring.
 
-The sum over window offsets runs on flat lanes, one strip of whole rows at
-a time.  Each strip is first copied into a padded strip buffer of width
-``pw = w + 2 * half``: image rows ``r0 - half : r1 + half``, the rows beyond
-the image's top and bottom mirrored one by one, and then its columns
-mirrored in place from the strip's own interior.  Output rows ``r0:r1`` are
-the ``(r1 - r0 - 1) * pw + w`` lanes of that buffer that start at
-``half * pw + half``, and window offset ``(dy, dx)`` is the same run of
-lanes ``dy * pw + dx`` later.  Every operand is thus a contiguous 1-D slice,
-which numpy's ufuncs stream several times faster than a strided 2-D view.
-The ``2 * half`` lanes between two output rows are computed and then
-dropped when the strip is divided into ``out``: about 1% extra work at
-width 1024 and 4% at 256.
+The sum over window offsets runs one strip of whole rows at a time, on the
+flat lanes of a padded strip buffer that ``imagecore._padded_lanes`` fills
+with the strip and its reflect-101 border (its docstring states the layout).
+The lanes between two output rows, about 1% extra work at width 1024 and 4%
+at 256, are dropped when the strip is divided into ``out``.
 
 Each offset updates ``num`` and ``den`` through one scratch buffer with
 ``out=`` ufuncs.  Every output pixel sees the same operations in the same
@@ -92,6 +85,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from denoisebench.imagecore import _padded_lanes
 
 __all__ = ["BilateralParams", "bilateral_filter"]
 
@@ -193,24 +188,8 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
     lane_pads = [np.empty((strip_rows + 2 * half) * pw) for _ in range(k)]
     lane_bufs = np.empty((k, 3, strip_lanes))
     lane_flags = np.empty((k, 2, strip_lanes if clamp else 0), dtype=bool)
+    # the centre tap: window offset (half, half) of the lane layout
     start = half * pw + half
-
-    def pad_strip(lane: int, r0: int, r1: int) -> np.ndarray:
-        """The lane's padded strip, flat: image rows r0 - half : r1 + half, reflect-101."""
-        flat = lane_pads[lane][: (r1 - r0 + 2 * half) * pw]
-        rows = flat.reshape(-1, pw)
-        first = r0 - half
-        top, bottom = max(first, 0), min(r1 + half, h)
-        rows[top - first : bottom - first, half : half + w] = img[top:bottom]
-        # the at most `half` rows mirrored above the image's first row and below its last
-        for j in range(first, 0):
-            rows[j - first, half : half + w] = img[-j]
-        for j in range(h, r1 + half):
-            rows[j - first, half : half + w] = img[2 * h - 2 - j]
-        if half:
-            rows[:, :half] = rows[:, 2 * half : half : -1]
-            rows[:, half + w :] = rows[:, w + half - 2 : w - 2 : -1]
-        return flat
 
     def sum_window(lane: int, flat: np.ndarray, n: int, clamped: bool) -> bool:
         """Sum the window of the n lanes from `start` of `flat` into the lane's num and den.
@@ -253,7 +232,7 @@ def bilateral_filter(image, params: BilateralParams) -> np.ndarray:
         for r0, r1 in strips[lane::k]:
             m = r1 - r0
             n = (m - 1) * pw + w
-            flat = pad_strip(lane, r0, r1)
+            flat = _padded_lanes(img, r0, r1, half, lane_pads[lane])
             # a strip the clamp might change is summed again without it
             if not (clamp and sum_window(lane, flat, n, True)):
                 sum_window(lane, flat, n, False)

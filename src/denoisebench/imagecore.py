@@ -26,6 +26,42 @@ def as_image(data) -> np.ndarray:
     return img
 
 
+def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False) -> np.ndarray:
+    """Rows ``r0 - half : r1 + half`` of `img`, padded by `half` on each side,
+    written flat into the front of the float64 buffer `buf`; returns that view.
+
+    This is the one lane layout of the window sums (bilateral filter,
+    NeighShrink, texture box blur): with ``pw = w + 2 * half``, output row i
+    is lanes ``i * pw : i * pw + w``, and window offset (dy, dx) is the same
+    run ``dy * pw + dx`` later, so every operand is one contiguous run, which
+    numpy streams several times faster than a strided 2-D view; the
+    ``2 * half`` lanes between two output rows are summed and then dropped.
+    The border is reflect-101 (``np.pad``'s ``reflect``, repeated on a side
+    shorter than ``half + 1``) or, with `wrap`, periodic.  As in ``np.pad``,
+    an empty side raises ValueError when ``half > 0``.
+    """
+    h, w = img.shape
+    if half and not (h and w):
+        raise ValueError(f"cannot pad an empty side of an image of shape {img.shape}")
+    pw = w + 2 * half
+    flat = buf[: (r1 - r0 + 2 * half) * pw]
+    rows = flat.reshape(r1 - r0 + 2 * half, pw)
+    first, top, bottom = r0 - half, max(r0 - half, 0), min(r1 + half, h)
+    rows[top - first : bottom - first, half : half + w] = img[top:bottom]
+    # the rows beyond the image's top and bottom, then every row's border columns
+    beyond = np.r_[first:top, bottom : r1 + half]
+    rows[beyond - first, half : half + w] = img[_fold(beyond, h, wrap)]
+    cols = np.r_[-half:0, w : w + half]
+    rows[:, cols + half] = rows[:, _fold(cols, w, wrap) + half]
+    return flat
+
+
+def _fold(j, n: int, wrap: bool):
+    """The index in ``0..n-1`` that each index `j` beyond a side of n samples
+    copies: periodic, or reflect-101, which repeats every ``2 * (n - 1)``."""
+    return j % n if wrap else n - 1 - abs(j % max(2 * n - 2, 1) - n + 1)
+
+
 # magic, then width, height and maxval, each after whitespace or '#' comments
 # running to the end of their line; one whitespace byte ends the header
 _HEADER = re.compile(rb"P[25]" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")

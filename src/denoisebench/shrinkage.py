@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from denoisebench.imagecore import _padded_lanes
+
 __all__ = [
     "apply_threshold",
     "visu_threshold",
@@ -128,24 +130,18 @@ def neigh_shrink(band, t_universal: float, window: int = 3) -> np.ndarray:
     if t_universal == 0:
         return y.copy()
     half = window // 2
-    padded = np.pad(y**2, half, mode="reflect")
     h, w = y.shape
     pw = w + 2 * half
-    # output row i is lanes i * pw : i * pw + w of `s2`, and window offset
-    # (dy, dx) is the run of padded lanes dy * pw + dx later.  The runs are
-    # added in the order of a sum over shifted whole images; it starts from
-    # the first run instead of 0 + that run, the same value for a square
-    flat = padded.ravel()
+    # the squared band in imagecore._padded_lanes' layout, summed as shifted whole
+    # images are, but from the first run instead of 0 + it: the same for a square
+    flat = _padded_lanes(y, 0, h, half, np.empty((h + 2 * half) * pw))
+    np.square(flat, out=flat)
     n = (h - 1) * pw + w
-    s2 = np.empty(h * pw)
-    lanes = s2[:n]
+    s2 = flat[: h * pw].copy()
     for dy in range(window):
         for dx in range(window):
-            run = flat[dy * pw + dx : dy * pw + dx + n]
-            if dy == dx == 0:
-                np.copyto(lanes, run)
-            else:
-                lanes += run
+            if dy or dx:
+                s2[:n] += flat[dy * pw + dx : dy * pw + dx + n]
     s2 = s2.reshape(h, pw)[:, :w]
     with np.errstate(divide="ignore"):
         out = np.divide(t_universal**2, s2)

@@ -8,6 +8,7 @@ of natural image content: smooth regions, sharp edges, multi-scale detail).
 
 import numpy as np
 
+from denoisebench.imagecore import _padded_lanes
 from denoisebench.noise import gaussian_field
 
 __all__ = ["gradient_image", "checkerboard_image", "texture_image", "default_set"]
@@ -41,22 +42,15 @@ def _box_blur(field: np.ndarray, passes: int, out: np.ndarray | None = None,
               pad: np.ndarray | None = None) -> np.ndarray:
     """Repeated periodic 3x3 box blur, written to `out` (a new array if None).
 
-    Each pass copies the field into `pad` with a one-pixel periodic border
-    and sums the nine shifted views, shift (dy, dx) being
-    ``np.roll(field, (dy, dx), (0, 1))``, into a zero-started sum in that
-    order, then divides it by 9.  `pad` is a flat float64 buffer of at least
-    ``(h + 2) * (w + 2)`` elements (a new one if None), so one buffer serves
-    every pass and every smaller field.  Since every pass reads only the
-    padded copy, `out` may be `field` itself.
-
-    With padded width ``pw = w + 2``, output rows ``r0:r1`` are the
-    ``(r1 - r0 - 1) * pw + w`` lanes of the padded buffer that start at
-    ``(r0 + 1) * pw + 1``, and shift (dy, dx) reads the same run of lanes
-    ``dy * pw + dx`` earlier: every operand is a contiguous 1-D slice.  The
-    rows are summed in blocks of about ``_BLUR_LANES`` lanes, so a block's
-    operands stay in cache, and the two border lanes between rows are summed
-    and then dropped.  Every pixel sees the same operations in the same
-    order as a sum over whole shifted images.
+    Each pass copies the field, with a one-pixel periodic border, into the
+    flat float64 buffer `pad` (a new one if None; at least ``(h + 2) * (w + 2)``
+    elements, so one buffer serves every pass and every smaller field) in the
+    lane layout of ``imagecore._padded_lanes``.  It sums the nine shifts
+    ``np.roll(field, (dy, dx), (0, 1))``, which read window offsets ``(1 - dy,
+    1 - dx)`` and so run in descending order, into a zero-started sum in row
+    blocks of about ``_BLUR_LANES`` lanes that stay in cache, and divides it
+    by 9: a sum over whole shifted images, operation for operation.  Every
+    pass reads only the padded copy, so `out` may be `field` itself.
     """
     h, w = field.shape
     pw = w + 2
@@ -64,25 +58,19 @@ def _box_blur(field: np.ndarray, passes: int, out: np.ndarray | None = None,
         out = np.empty_like(field)
     if pad is None:
         pad = np.empty((h + 2) * pw)
-    padded = pad[: (h + 2) * pw].reshape(h + 2, pw)
     rows = max(1, _BLUR_LANES // pw)
     acc = np.empty(min(rows, h) * pw)
-    shifts = [dy * pw + dx for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    offsets = [dy * pw + dx for dy in (2, 1, 0) for dx in (2, 1, 0)]
     src = field
     for _ in range(passes):
-        padded[1:-1, 1:-1] = src
-        padded[0, 1:-1] = src[-1]
-        padded[-1, 1:-1] = src[0]
-        padded[:, 0] = padded[:, -2]
-        padded[:, -1] = padded[:, 1]
+        _padded_lanes(src, 0, h, 1, pad, wrap=True)
         for r0 in range(0, h, rows):
             r1 = min(r0 + rows, h)
             lanes = (r1 - r0 - 1) * pw + w
-            start = (r0 + 1) * pw + 1
             run = acc[:lanes]
             run[:] = 0.0
-            for shift in shifts:
-                run += pad[start - shift : start - shift + lanes]
+            for offset in offsets:
+                run += pad[r0 * pw + offset : r0 * pw + offset + lanes]
             np.divide(acc[: (r1 - r0) * pw].reshape(r1 - r0, pw)[:, :w], 9.0, out=out[r0:r1])
         src = out
     return out

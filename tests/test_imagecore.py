@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from denoisebench.imagecore import (
     PgmError,
+    _padded_lanes,
     as_image,
     load_pgm,
     save_pgm,
@@ -21,6 +22,35 @@ def test_as_image_rejects_bad_shapes():
         as_image(np.zeros((2, 2, 3)))
     with pytest.raises(ValueError):
         as_image(np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("half", range(6))
+@pytest.mark.parametrize("mode", ["reflect", "wrap"])
+def test_padded_lanes_match_np_pad_on_every_strip(mode, half):
+    # sides shorter than half + 1 make np.pad reflect or wrap more than once
+    rng = np.random.default_rng(half)
+    for shape in [(1, 1), (1, 9), (9, 1), (2, 5), (3, 3), (6, 4), (11, 7)]:
+        img = rng.normal(size=shape)
+        h, w = shape
+        want = np.pad(img, half, mode=mode)
+        # a longer buffer than any strip needs: only its front is written
+        buf = np.full((h + 2 * half) * (w + 2 * half) + 5, np.nan)
+        for r0 in range(h):
+            for r1 in range(r0 + 1, h + 1):
+                got = _padded_lanes(img, r0, r1, half, buf, wrap=mode == "wrap")
+                assert np.shares_memory(got, buf)
+                assert got.tobytes() == want[r0 : r1 + 2 * half].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_padded_lanes_refuse_an_empty_side_as_np_pad_does(shape):
+    img = np.zeros(shape)
+    for half in (1, 2):
+        with pytest.raises(ValueError):
+            np.pad(img, half, mode="reflect")
+        with pytest.raises(ValueError):
+            _padded_lanes(img, 0, shape[0], half, np.empty(64))
+    assert _padded_lanes(img, 0, shape[0], 0, np.empty(64)).size == 0
 
 
 def test_load_p5_bytes(tmp_path):

@@ -198,6 +198,16 @@ def test_neigh_equals_oracle_bit_for_bit(window):
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_neigh_on_an_empty_band(shape):
+    band = np.zeros(shape)
+    out = neigh_shrink(band, 1.0, 1)
+    assert out.shape == shape and out.dtype == np.float64
+    # a wider window has no samples to mirror into its border
+    with pytest.raises(ValueError):
+        neigh_shrink(band, 1.0, 3)
+
+
 def test_neigh_matches_brute_force():
     rng = np.random.default_rng(77)
     for _ in range(20):
