@@ -10,23 +10,15 @@ the key's UTF-8 bytes through SplitMix64::
 The final ``h`` is the trial seed.  Identical configs therefore produce
 byte-identical CSVs regardless of worker count.
 
-A serial sweep (``workers=1``) noises the next cell on one helper thread
-while the calling thread denoises and scores the current cell.  Each noisy
-image holds a deque of its chunks (``noise.add_awgn_chunk``), and both
-threads pop from it: the helper runs one task per cell, and the calling
-thread first fills what is left of its own cell's image, then the next
-cell's chunks until the helper is done with its last chunk of this one.
-Every chunk is a pure function of (seed, pixel), so the image is the same
-whichever thread fills which chunk.  The helper belongs to one
-``run_benchmark`` call and is joined when it returns; a noise error fails
-only the cell whose image it was filling, whichever thread met it.  The
-calling thread allocates each noisy image, so the sweep holds about one
-extra noisy image in memory and the helper's heap stays small.  A cell
-drops its noisy image once it is denoised, so scoring runs without it.
-With ``workers > 1`` each pool thread noises its own cells.
+A serial sweep (``workers=1``) noises the next cell on one helper thread,
+one task per cell, while the calling thread denoises and scores the current
+cell.  The calling thread then fills what is left of its own cell's noisy
+image (``noise._NoisyImage``), and the next cell's until the helper is done
+with this one.  A noise error fails only the cell whose image it was
+filling.  The helper is joined when ``run_benchmark`` returns.  With
+``workers > 1`` each pool thread noises its own cells.
 """
 
-import collections
 import concurrent.futures
 import csv
 import math
@@ -39,7 +31,7 @@ import numpy as np
 
 from denoisebench.imagecore import as_image, load_pgm, save_pgm
 from denoisebench.metrics import evaluate
-from denoisebench.noise import NoiseModel, add_awgn, add_awgn_chunk, noise_chunks
+from denoisebench.noise import NoiseModel, _check_seed, _NoisyImage, add_awgn
 from denoisebench.pipelines import MethodConfig, denoise
 
 __all__ = [
@@ -80,6 +72,7 @@ class BenchConfig:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        _check_seed(self.master_seed)
         bad = [s for s in self.sigmas if not 0 < s < math.inf]
         if bad:
             raise ValueError(f"sigmas must be finite and positive, got {bad[0]:g}")
@@ -127,35 +120,11 @@ def derive_seed(master_seed: int, image_id: str, sigma: float, method: str, tria
     return h
 
 
-class _NoisyImage:
-    """One serial-sweep cell's noisy image: a deque of chunks that either thread pops and fills."""
-
-    def __init__(self, clean: np.ndarray, sigma: float, seed: int):
-        self.clean = clean
-        self.model = NoiseModel(sigma=sigma, seed=seed)
-        self.out = np.empty(clean.shape)
-        self.chunks = collections.deque(noise_chunks(clean.shape))
-        self.error: Exception | None = None
-
-    def fill(self, until=None) -> None:
-        """Fill chunks until none is left, an error is kept or `until()` is true."""
-        while self.error is None and not (until and until()):
-            try:
-                k0 = self.chunks.popleft()
-            except IndexError:
-                return
-            try:
-                add_awgn_chunk(self.clean, self.model, self.out, k0)
-            except Exception as exc:
-                # a traceback would keep the failed chunk's view of `out` alive
-                self.error = exc.with_traceback(None)
-
-
 def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig,
               trial: int, config: BenchConfig, noise=None) -> BenchRow:
     """Run one cell; `noise`, if given, is (its noisy image, the helper's future, the next image).
 
-    The cell takes `out` from its noisy image, so once it is denoised
+    The cell takes its noisy image over (``take``), so once it is denoised
     nothing holds it.
     """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
@@ -170,10 +139,7 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
                 # until the helper is done with `image`
                 next_image.fill(until=filling.done)
             filling.result()
-            if image.error is not None:
-                image.out = None
-                raise image.error
-            noisy, image.out = image.out, None
+            noisy = image.take()
         t0 = time.perf_counter()
         denoised = denoise(noisy, mcfg)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
@@ -204,8 +170,7 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
     for path in config.image_paths:
         image_id = Path(path).stem
         if images is not None and path in images:
-            # the serial sweep's noise chunks read the image as one flat run
-            loaded[image_id] = np.ascontiguousarray(as_image(images[path]))
+            loaded[image_id] = as_image(images[path])
         else:
             loaded[image_id] = load_pgm(path)
     if config.save_images_dir:
@@ -223,14 +188,11 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
     else:
-        # the helper noises cell i + 1 while this thread runs cell i; this
-        # thread fills whatever its own cell's image still lacks, then cell
-        # i + 1's chunks while it waits
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
 
             def prefetch(image_id, clean, sigma, mcfg, trial):
-                image = _NoisyImage(clean, sigma, derive_seed(
-                    config.master_seed, image_id, sigma, mcfg.method, trial))
+                image = _NoisyImage(clean, NoiseModel(sigma=sigma, seed=derive_seed(
+                    config.master_seed, image_id, sigma, mcfg.method, trial)))
                 return image, helper.submit(image.fill)
 
             rows = []

@@ -17,8 +17,8 @@ class PgmError(ValueError):
 
 
 def as_image(data) -> np.ndarray:
-    """Coerce array-like pixel data to a valid 2-D float64 image."""
-    img = np.asarray(data, dtype=np.float64)
+    """Coerce array-like pixel data to a valid 2-D C-contiguous float64 image."""
+    img = np.asarray(data, dtype=np.float64, order="C")
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"image must be 2-D and non-empty, got shape {img.shape}")
     if not np.all(np.isfinite(img)):

@@ -25,17 +25,20 @@ library, so last bits may differ between hosts (on one AVX-512 host, 756 of
 
 Because output i depends only on (seed, i), the uniforms are drawn as two
 contiguous runs, ``u_{2k}`` from outputs 0, 2, 4, ... and ``u_{2k+1}`` from
-outputs 1, 3, 5, ...; this changes no value.  The field is filled in chunks
-of 32 Ki pairs, each drawing its own two runs, so the work arrays stay small
-whatever the image size.  A noisy image is filled by the same chunks
-(:func:`add_awgn_chunk`), which are independent of each other, so several
-threads may fill one image, each chunk once, in any order; every deviate
-sees the same operations whichever thread fills its chunk.  A chunk is
-written into an array the caller allocated, so a thread that only fills
-chunks holds no image-sized memory of its own.
+outputs 1, 3, 5, ...; this changes no value.  A field is filled in chunks of
+32 Ki pairs, each drawing its own two runs, so the work arrays stay small
+whatever the image size.
+
+Chunk contract: a noisy image (``add_awgn``) is filled by the same chunks,
+each writing ``image + sigma * field`` over its own pixels of one output
+array, so any threads may fill one image, each chunk once, in any order,
+and get the same bits; a thread that only fills chunks holds no image-sized
+memory of its own.  ``_NoisyImage`` is that image: ``fill`` pops chunks from
+its deque, keeping a chunk's error, and ``take`` hands the image over or
+raises the error.
 """
 
-import math
+import collections
 import operator
 from dataclasses import dataclass
 
@@ -48,8 +51,6 @@ __all__ = [
     "splitmix64_stream",
     "gaussian_field",
     "add_awgn",
-    "add_awgn_chunk",
-    "noise_chunks",
     "estimate_noise_mad",
     "MAD_GAUSSIAN_CONSISTENCY",
 ]
@@ -65,6 +66,16 @@ _CHUNK_PAIRS = 1 << 15
 MAD_GAUSSIAN_CONSISTENCY = 0.6745
 
 
+def _check_seed(seed) -> None:
+    """ValueError unless `seed` is an integer in [0, 2**64), which numpy takes unchanged."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive white Gaussian noise: standard deviation plus stream seed."""
@@ -75,12 +86,7 @@ class NoiseModel:
     def __post_init__(self):
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(self.seed)
 
 
 def _splitmix64(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
@@ -103,6 +109,9 @@ def _splitmix64(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """First `count` outputs of the SplitMix64 stream for `seed`, as uint64."""
+    _check_seed(seed)
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
     z = np.arange(1, count + 1, dtype=np.uint64)
     _splitmix64(seed, z, np.empty_like(z))
     return z
@@ -123,9 +132,9 @@ def _uniforms(seed: int, j: int, k0: int, work: np.ndarray) -> np.ndarray:
     return u
 
 
-def noise_chunks(shape: tuple[int, ...]) -> range:
-    """First Gaussian pair of each chunk of a noise field of `shape`."""
-    return range(0, (math.prod(shape) + 1) // 2, _CHUNK_PAIRS)
+def _noise_chunks(size: int) -> range:
+    """First Gaussian pair of each chunk of a noise field of `size` deviates."""
+    return range(0, (size + 1) // 2, _CHUNK_PAIRS)
 
 
 def _gaussian_chunk(seed: int, k0: int, dest: np.ndarray) -> None:
@@ -156,24 +165,20 @@ def gaussian_field(seed: int, shape: tuple[int, int], out: np.ndarray | None = N
     `out`, if given, is a C-contiguous float64 array of that shape; the field
     is written there and `out` is returned.
     """
+    _check_seed(seed)
     if out is None:
         out = np.empty(shape)
     elif out.shape != tuple(shape) or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {tuple(shape)}")
     flat = out.reshape(-1)
-    for k0 in noise_chunks(shape):
+    for k0 in _noise_chunks(out.size):
         _gaussian_chunk(seed, k0, flat[2 * k0 : 2 * (k0 + _CHUNK_PAIRS)])
     return out
 
 
-def add_awgn_chunk(image: np.ndarray, model: NoiseModel, out: np.ndarray, k0: int) -> None:
-    """Write the chunk of ``add_awgn(image, model)`` that starts at pair `k0` into `out`.
-
-    `k0` is an item of ``noise_chunks(image.shape)``.  `image` is a
-    C-contiguous float64 image with finite samples, as ``add_awgn`` takes it
-    once coerced, and `out` a C-contiguous float64 array of its shape.  The
-    chunk reads and writes only its own pixels.
-    """
+def _add_awgn_chunk(image: np.ndarray, model: NoiseModel, out: np.ndarray, k0: int) -> None:
+    """Write the chunk of ``add_awgn(image, model)`` at pair `k0` into `out`, reading and
+    writing only its own pixels of the two C-contiguous float64 arrays."""
     lo, hi = 2 * k0, 2 * (k0 + _CHUNK_PAIRS)
     dest = out.reshape(-1)[lo:hi]
     _gaussian_chunk(model.seed, k0, dest)
@@ -181,13 +186,43 @@ def add_awgn_chunk(image: np.ndarray, model: NoiseModel, out: np.ndarray, k0: in
     dest += image.reshape(-1)[lo:hi]
 
 
+class _NoisyImage:
+    """``add_awgn(image, model)``, for `image` as ``as_image`` returns it, as a deque of chunks."""
+
+    def __init__(self, image: np.ndarray, model: NoiseModel):
+        self.image = image
+        self.model = model
+        self.out = np.empty(image.shape)
+        self.chunks = collections.deque(_noise_chunks(image.size))
+        self.error: Exception | None = None
+
+    def fill(self, until=None) -> None:
+        """Fill chunks until none is left, an error is kept or `until()` is true."""
+        while self.error is None and not (until and until()):
+            try:
+                k0 = self.chunks.popleft()
+            except IndexError:
+                return
+            try:
+                _add_awgn_chunk(self.image, self.model, self.out, k0)
+            except Exception as exc:
+                # a traceback would keep the failed chunk's view of `out` alive
+                self.error = exc.with_traceback(None)
+
+    def take(self) -> np.ndarray:
+        """Hand the filled image over, keeping no hold on it, or raise a chunk's error."""
+        if self.error is not None:
+            self.out = None
+            raise self.error
+        out, self.out = self.out, None
+        return out
+
+
 def add_awgn(image, model: NoiseModel) -> np.ndarray:
     """Add i.i.d. N(0, sigma^2) noise per pixel.  Output is not clamped."""
-    img = np.ascontiguousarray(as_image(image))
-    out = np.empty(img.shape)
-    for k0 in noise_chunks(img.shape):
-        add_awgn_chunk(img, model, out, k0)
-    return out
+    noisy = _NoisyImage(as_image(image), model)
+    noisy.fill()
+    return noisy.take()
 
 
 def estimate_noise_mad(finest_hh) -> float:

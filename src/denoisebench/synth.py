@@ -9,7 +9,7 @@ of natural image content: smooth regions, sharp edges, multi-scale detail).
 import numpy as np
 
 from denoisebench.imagecore import _padded_lanes
-from denoisebench.noise import gaussian_field
+from denoisebench.noise import _check_seed, gaussian_field
 
 __all__ = ["gradient_image", "checkerboard_image", "texture_image", "default_set"]
 
@@ -144,7 +144,7 @@ def texture_image(size: int = 256, seed: int = 0x5EED) -> np.ndarray:
 
     `size` must be at least 4 and divisible by every octave's coarse side
     ``max(size >> k, 4)``, k = 0..5 (so any power of two from 4 up), and
-    `seed` must lie in [0, 2**64 - 52]; anything else raises ValueError.
+    `seed` an integer in [0, 2**64 - 52]; anything else raises ValueError.
     The region map is built first and kept as one byte per pixel, and every
     step after it works in place, so from 512x512 up the call holds under
     3.75 image copies at its peak.
@@ -156,6 +156,8 @@ def texture_image(size: int = 256, seed: int = 0x5EED) -> np.ndarray:
     if not 0 <= seed <= 2**64 - 52:
         raise ValueError(f"texture seed {seed} must be in [0, 2**64 - 52]: "
                          f"the image draws noise at seeds seed .. seed + 51")
+    # before the first field, whose error would name seed + 50
+    _check_seed(seed)
     plateau = _plateau_map(size, seed)
     field = _octave_stack(size, seed)
     field /= field.std()

@@ -81,6 +81,11 @@ def test_config_validation(tmp_path):
         _tiny_config(tmp_path, trials=0)
     with pytest.raises(ValueError):
         _tiny_config(tmp_path, sigmas=())
+    # derive_seed folds the master seed mod 2**64: -1 would run as 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+            _tiny_config(tmp_path, master_seed=seed)
+    _tiny_config(tmp_path, master_seed=2**64 - 1)
 
 
 def test_config_rejects_image_paths_with_one_id(tmp_path):
@@ -144,25 +149,28 @@ def test_failed_cell_yields_nan_row(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("failing", [0, 3, 7])
-def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing):
+# a serial cell's id is its bare index, a pool cell's names the worker count too
+@pytest.mark.parametrize("failing, workers", [
+    pytest.param(f, w, id=str(f) if w == 1 else f"{f}-workers{w}") for w in (1, 2) for f in (0, 3, 7)])
+def test_noise_error_fails_only_its_cell(tmp_path, capsys, monkeypatch, failing, workers):
     # the serial sweep noises the next cell on a helper thread and the calling
-    # thread; an error in either must land in its own cell, first, middle or last
-    config = _tiny_config(tmp_path)
+    # thread, a pool thread its own cells; an error on any of them must land in
+    # its own cell, first, middle or last
+    config = _tiny_config(tmp_path, workers=workers)
     want = run_benchmark(config)
     capsys.readouterr()
     cells = [(s, m.method, t) for s in config.sigmas for m in config.methods
              for t in range(1, config.trials + 1)]
     sigma, method, trial = cells[failing]
     bad_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
-    add_awgn_chunk = bench.add_awgn_chunk
+    add_awgn_chunk = noise._add_awgn_chunk
 
     def flaky_chunk(image, model, out, k0):
         if model.seed == bad_seed:
             raise RuntimeError("no noise today")
         add_awgn_chunk(image, model, out, k0)
 
-    monkeypatch.setattr(bench, "add_awgn_chunk", flaky_chunk)
+    monkeypatch.setattr(noise, "_add_awgn_chunk", flaky_chunk)
     got = run_benchmark(config)
     assert capsys.readouterr().err == (
         f"bench: cell (tex64, sigma={sigma:g}, {method}, trial {trial}) "
@@ -239,7 +247,7 @@ def _share_noise_chunks(monkeypatch, filler):
     caller = threading.get_ident()
     go, helper_went = threading.Event(), threading.Event()
     fills = []
-    real_fill, real_chunk = bench._NoisyImage.fill, bench.add_awgn_chunk
+    real_fill, real_chunk = noise._NoisyImage.fill, noise._add_awgn_chunk
 
     def fill(self, until=None):
         if filler != ("helper" if threading.get_ident() == caller else "caller"):
@@ -258,8 +266,8 @@ def _share_noise_chunks(monkeypatch, filler):
             elif not on_caller:
                 helper_went.set()
 
-    monkeypatch.setattr(bench._NoisyImage, "fill", fill)
-    monkeypatch.setattr(bench, "add_awgn_chunk", chunk)
+    monkeypatch.setattr(noise._NoisyImage, "fill", fill)
+    monkeypatch.setattr(noise, "_add_awgn_chunk", chunk)
     return fills
 
 
@@ -280,13 +288,15 @@ def test_serial_noise_equals_add_awgn_whoever_fills_the_chunks(tmp_path, monkeyp
     path = str(tmp_path / "img.pgm")
     config = _tiny_config(tmp_path, image_paths=(path,))
     run_benchmark(config, images={path: clean})
+    chunks = len(noise._noise_chunks(math.prod(shape)))
+    # add_awgn fills its image as the sweep does: unpatched, it is the reference
+    monkeypatch.undo()
     cells = [(s, m.method, t) for s in config.sigmas for m in config.methods
              for t in range(1, config.trials + 1)]
     assert len(received) == len(cells)
     for got, (sigma, method, trial) in zip(received, cells):
         seed = derive_seed(config.master_seed, "img", sigma, method, trial)
         assert np.array_equal(got, add_awgn(clean, NoiseModel(sigma=sigma, seed=seed)))
-    chunks = len(noise.noise_chunks(shape))
     assert len(fills) == len(cells) * chunks
     threads = {t for t, _ in fills}
     if filler == "caller":
@@ -325,14 +335,14 @@ def test_noise_error_in_a_chunk_the_calling_thread_fills_fails_only_its_cell(
     capsys.readouterr()
     fills = _share_noise_chunks(monkeypatch, "caller")
     bad_seed = derive_seed(config.master_seed, "tex64", 30.0, "visu", 2)
-    add_awgn_chunk = bench.add_awgn_chunk
+    add_awgn_chunk = noise._add_awgn_chunk
 
     def flaky_chunk(image, model, out, k0):
         if model.seed == bad_seed and k0 == 7 * 100:
             raise RuntimeError("no noise today")
         add_awgn_chunk(image, model, out, k0)
 
-    monkeypatch.setattr(bench, "add_awgn_chunk", flaky_chunk)
+    monkeypatch.setattr(noise, "_add_awgn_chunk", flaky_chunk)
     got = run_benchmark(config)
     assert {t for t, _ in fills} == {threading.get_ident()}
     assert capsys.readouterr().err == (
@@ -360,7 +370,7 @@ def test_noise_error_in_a_next_cell_chunk_the_calling_thread_fills_fails_only_th
     held_seed = derive_seed(config.master_seed, "tex64", sigma, method, trial)
     bad_seed = derive_seed(config.master_seed, "tex64", bad_sigma, bad_method, bad_trial)
     held, release, raised = threading.Event(), threading.Event(), []
-    add_awgn_chunk = bench.add_awgn_chunk
+    add_awgn_chunk = noise._add_awgn_chunk
 
     def gated_chunk(image, model, out, k0):
         on_caller = threading.get_ident() == caller
@@ -375,7 +385,7 @@ def test_noise_error_in_a_next_cell_chunk_the_calling_thread_fills_fails_only_th
             raise RuntimeError("no noise today")
         add_awgn_chunk(image, model, out, k0)
 
-    monkeypatch.setattr(bench, "add_awgn_chunk", gated_chunk)
+    monkeypatch.setattr(noise, "_add_awgn_chunk", gated_chunk)
     got = run_benchmark(config)
     assert raised == [True]
     assert capsys.readouterr().err == (
@@ -938,6 +948,8 @@ def _run_tiny_argv(tmp_path, *extra):
     (["--sigmas", "0"], "bench run: sigmas must be finite and positive, got 0"),
     (["--sigmas", "10,nan"], "bench run: sigmas must be finite and positive, got nan"),
     (["--sigmas", "inf"], "bench run: sigmas must be finite and positive, got inf"),
+    (["--seed", "-1"], "bench run: seed must be in [0, 2**64), got -1"),
+    (["--seed", str(2**64)], f"bench run: seed must be in [0, 2**64), got {2**64}"),
 ])
 def test_cli_run_rejects_bad_workers_and_sigmas(tmp_path, extra, message):
     with pytest.raises(SystemExit) as exc:

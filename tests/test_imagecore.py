@@ -24,6 +24,13 @@ def test_as_image_rejects_bad_shapes():
         as_image(np.array([[np.nan, 0.0]]))
 
 
+def test_as_image_returns_c_order():
+    # noise chunks read an image as one flat run
+    img = as_image(np.arange(12.0).reshape(3, 4).T)
+    assert img.flags.c_contiguous
+    assert np.array_equal(img, np.arange(12.0).reshape(3, 4).T)
+
+
 @pytest.mark.parametrize("half", range(6))
 @pytest.mark.parametrize("mode", ["reflect", "wrap"])
 def test_padded_lanes_match_np_pad_on_every_strip(mode, half):

@@ -1,5 +1,7 @@
 """Noise stream reproducibility, AWGN statistics and MAD estimation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,29 @@ def test_splitmix64_known_vectors():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+@pytest.mark.parametrize("call", [
+    lambda seed: NoiseModel(sigma=10.0, seed=seed),
+    lambda seed: gaussian_field(seed, (4, 4)),
+    lambda seed: splitmix64_stream(seed, 3),
+], ids=["NoiseModel", "gaussian_field", "splitmix64_stream"])
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (np.float64(2.0), "seed must be an integer, got np.float64(2.0)"),
+    (-1, "seed must be in [0, 2**64), got -1"),
+    (2**64, "seed must be in [0, 2**64), got 18446744073709551616"),
+], ids=["fractional", "numpy-float", "negative", "2**64"])
+def test_every_noise_entry_point_refuses_a_seed_numpy_would_cast(call, seed, message):
+    # numpy would truncate a fractional seed or wrap or overflow one out of range
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(seed)
+
+
+def test_splitmix64_refuses_a_negative_count():
+    with pytest.raises(ValueError, match="count must be non-negative, got -1"):
+        splitmix64_stream(3, -1)
+    assert splitmix64_stream(3, 0).size == 0
 
 
 def test_splitmix64_is_counter_based():

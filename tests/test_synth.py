@@ -141,6 +141,12 @@ def test_texture_rejects_a_seed_out_of_range(seed):
         texture_image(64, seed)
 
 
+def test_texture_refuses_a_fractional_seed_before_drawing_noise():
+    # gaussian_field would name the seed of its layer, seed + 50
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
+        texture_image(64, seed=1.5)
+
+
 def test_texture_is_deterministic_and_bounded():
     a = texture_image(128)
     b = texture_image(128)
