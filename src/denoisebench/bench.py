@@ -10,17 +10,24 @@ the key's UTF-8 bytes through SplitMix64::
 The final ``h`` is the trial seed.  Identical configs therefore produce
 byte-identical CSVs regardless of worker count.
 
+Inputs stream through a sweep: each is read once as a check before any
+cell runs, then again when its first cell is built, and freed after its
+last cell, so a sweep's memory does not grow with its number of images.
+
 A serial sweep (``workers=1``) noises the next cell on one helper thread,
 one task per cell, while the calling thread denoises and scores the current
 cell.  The calling thread then fills what is left of its own cell's noisy
 image (``noise._NoisyImage``), and the next cell's until the helper is done
 with this one.  A noise error fails only the cell whose image it was
 filling.  The helper is joined when ``run_benchmark`` returns.  With
-``workers > 1`` each pool thread noises its own cells.
+``workers > 1`` each pool thread noises its own cells; at most
+``2 * workers`` cells are submitted at a time, and one more as any of them
+completes.
 """
 
 import concurrent.futures
 import csv
+import itertools
 import math
 import sys
 import time
@@ -162,31 +169,45 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
     """Run every (image, sigma, method, trial) cell; rows in deterministic order.
 
     `images` may pre-supply loaded arrays keyed by image path (used for
-    synthetic sets); paths not found there are loaded as PGM.  An unreadable
-    PGM or a supplied array that is no image (``imagecore.as_image``) stops
-    the sweep before any cell.
+    synthetic sets); paths not found there are loaded as PGM.  Every input
+    is checked, and not kept, before any cell runs, so an unreadable PGM or
+    a supplied array that is no image (``imagecore.as_image``) stops the
+    sweep there.  An input is decoded again when its first cell is built,
+    which stops the sweep if it can no longer be read, and freed after its
+    last cell: a serial sweep holds at most two inputs (the current cell's
+    and, across an image boundary, the next cell's), a pooled one those of
+    its ``2 * workers`` cells in flight and of the next cell.
     """
-    loaded: dict[str, np.ndarray] = {}
+
+    def decode(path):
+        return as_image(images[path]) if images is not None and path in images else load_pgm(path)
+
     for path in config.image_paths:
-        image_id = Path(path).stem
-        if images is not None and path in images:
-            loaded[image_id] = as_image(images[path])
-        else:
-            loaded[image_id] = load_pgm(path)
+        decode(path)
     if config.save_images_dir:
         # an unusable directory stops the sweep here, not in every cell
         Path(config.save_images_dir).mkdir(parents=True, exist_ok=True)
 
-    cells = [
-        (image_id, clean, sigma, mcfg, trial)
-        for image_id, clean in loaded.items()
-        for sigma in config.sigmas
-        for mcfg in config.methods
-        for trial in range(1, config.trials + 1)
-    ]
+    def cells():
+        for path in config.image_paths:
+            clean = decode(path)
+            for sigma in config.sigmas:
+                for mcfg in config.methods:
+                    for trial in range(1, config.trials + 1):
+                        yield Path(path).stem, clean, sigma, mcfg, trial
+
+    rows = []
     if config.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(lambda c: _run_cell(c[0], c[1], c[2], c[3], c[4], config), cells))
+            # a window of cells, not pool.map, which submits (so decodes) every cell at once
+            running = set()
+            for cell in cells():
+                running.add(pool.submit(_run_cell, *cell, config))
+                if len(running) == 2 * config.workers:
+                    done, running = concurrent.futures.wait(
+                        running, return_when=concurrent.futures.FIRST_COMPLETED)
+                    rows += [f.result() for f in done]
+            rows += [f.result() for f in running]
     else:
         with concurrent.futures.ThreadPoolExecutor(1, thread_name_prefix="noise") as helper:
 
@@ -195,12 +216,13 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
                     config.master_seed, image_id, sigma, mcfg.method, trial)))
                 return image, helper.submit(image.fill)
 
-            rows = []
-            image, filling = prefetch(*cells[0])
-            for i, cell in enumerate(cells, 1):
-                next_image, next_filling = prefetch(*cells[i]) if i < len(cells) else (None, None)
+            stream = cells()
+            cell = next(stream)
+            image, filling = prefetch(*cell)
+            for next_cell in itertools.chain(stream, [None]):
+                next_image, next_filling = prefetch(*next_cell) if next_cell else (None, None)
                 rows.append(_run_cell(*cell, config, (image, filling, next_image)))
-                image, filling = next_image, next_filling
+                cell, image, filling = next_cell, next_image, next_filling
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows
 

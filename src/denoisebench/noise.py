@@ -66,13 +66,17 @@ _CHUNK_PAIRS = 1 << 15
 MAD_GAUSSIAN_CONSISTENCY = 0.6745
 
 
-def _check_seed(seed) -> None:
-    """ValueError unless `seed` is an integer in [0, 2**64), which numpy takes unchanged."""
+def _seed_int(seed) -> int:
+    """`seed` as an int; ValueError unless it is an integer."""
     try:
-        seed = operator.index(seed)
+        return operator.index(seed)
     except TypeError:
         raise ValueError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= seed < 2**64:
+
+
+def _check_seed(seed) -> None:
+    """ValueError unless `seed` is an integer in [0, 2**64), which numpy takes unchanged."""
+    if not 0 <= _seed_int(seed) < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 

@@ -9,7 +9,7 @@ of natural image content: smooth regions, sharp edges, multi-scale detail).
 import numpy as np
 
 from denoisebench.imagecore import _padded_lanes
-from denoisebench.noise import _check_seed, gaussian_field
+from denoisebench.noise import _seed_int, gaussian_field
 
 __all__ = ["gradient_image", "checkerboard_image", "texture_image", "default_set"]
 
@@ -153,11 +153,10 @@ def texture_image(size: int = 256, seed: int = 0x5EED) -> np.ndarray:
     if size < 4 or any(size % max(size >> k, 4) for k in range(6)):
         raise ValueError(f"texture size {size} must be at least 4 and divisible by "
                          f"max(size >> k, 4) for k = 0..5, each octave's coarse side")
-    if not 0 <= seed <= 2**64 - 52:
+    # a non-integer fails here, not at the first field, whose error would name seed + 50
+    if not 0 <= _seed_int(seed) <= 2**64 - 52:
         raise ValueError(f"texture seed {seed} must be in [0, 2**64 - 52]: "
                          f"the image draws noise at seeds seed .. seed + 51")
-    # before the first field, whose error would name seed + 50
-    _check_seed(seed)
     plateau = _plateau_map(size, seed)
     field = _octave_stack(size, seed)
     field /= field.std()

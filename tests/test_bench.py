@@ -398,14 +398,6 @@ def test_noise_error_in_a_next_cell_chunk_the_calling_thread_fills_fails_only_th
             assert g == w
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_supplied_image_is_checked_before_any_cell(tmp_path, workers):
-    path = str(tmp_path / "bad.pgm")
-    config = _tiny_config(tmp_path, image_paths=(path,), workers=workers)
-    with pytest.raises(ValueError, match="non-finite"):
-        run_benchmark(config, images={path: np.full((8, 8), np.nan)})
-
-
 def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):
     checker = tmp_path / "check64.pgm"
     save_pgm(checkerboard_image(64, 8), checker)
@@ -414,6 +406,95 @@ def test_serial_rows_equal_two_worker_rows_on_several_images(tmp_path):
     serial = run_benchmark(_tiny_config(tmp_path, image_paths=paths))
     assert {r.image_id for r in serial} == {"tex64", "check64"}
     assert serial == run_benchmark(_tiny_config(tmp_path, image_paths=paths, workers=2))
+
+
+def _texture_pgms(tmp_path, count):
+    paths = []
+    for k in range(count):
+        paths.append(str(tmp_path / f"tex{k}_32.pgm"))
+        save_pgm(texture_image(32, seed=k), paths[-1])
+    return tuple(paths)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_holds_a_bounded_number_of_inputs_whatever_the_image_count(tmp_path, monkeypatch,
+                                                                         workers):
+    # six images of 8 cells each: a serial sweep holds the current cell's input
+    # and, across an image boundary, the next one's; a pooled sweep no more
+    # than its window of 2 * workers cells, which 8 cells per image fill
+    decoded, live = [], []
+    real_load_pgm, real_denoise = bench.load_pgm, bench.denoise
+
+    def load_spy(path):
+        image = real_load_pgm(path)
+        decoded.append(weakref.ref(image))
+        return image
+
+    def denoise_spy(noisy, mcfg):
+        live.append(sum(ref() is not None for ref in decoded))
+        return real_denoise(noisy, mcfg)
+
+    monkeypatch.setattr(bench, "load_pgm", load_spy)
+    monkeypatch.setattr(bench, "denoise", denoise_spy)
+    rows = run_benchmark(_tiny_config(tmp_path, image_paths=_texture_pgms(tmp_path, 6),
+                                      workers=workers))
+    assert len(rows) == len(live) == 48 and not any(math.isnan(r.psnr_db) for r in rows)
+    assert len(decoded) == 12  # a check, then one decode for the cells
+    assert 1 <= max(live) <= (2 if workers == 1 else 2 * workers)
+    assert all(ref() is None for ref in decoded)
+
+
+def _no_cell(*args, **kwargs):
+    pytest.fail("a cell ran")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_truncated_last_pgm_stops_the_run_before_any_cell(tmp_path, monkeypatch, workers):
+    paths = _texture_pgms(tmp_path, 3) + (str(_truncated_pgm(tmp_path / "cut.pgm")),)
+    monkeypatch.setattr(bench, "denoise", _no_cell)
+    out = tmp_path / "run.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--images", ",".join(paths), "--sigmas", "10", "--methods", "visu",
+                  "--trials", "1", "--levels", "2", "--workers", str(workers), "--out", str(out)])
+    assert exc.value.code.startswith("bench run: ") and "cut.pgm: truncated" in exc.value.code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_supplied_image_is_checked_before_any_cell(tmp_path, monkeypatch, workers):
+    # the bad array comes last, after inputs whose cells could run first
+    paths = _texture_pgms(tmp_path, 3) + (str(tmp_path / "bad.pgm"),)
+    monkeypatch.setattr(bench, "denoise", _no_cell)
+    config = _tiny_config(tmp_path, image_paths=paths, workers=workers)
+    supplied = {paths[0]: texture_image(32), paths[-1]: np.full((8, 8), np.nan)}
+    with pytest.raises(ValueError, match="non-finite"):
+        run_benchmark(config, images=supplied)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("victim", [0, 2])
+def test_input_removed_after_the_check_fails_the_run_in_one_line(tmp_path, monkeypatch, workers,
+                                                                victim):
+    # the input is gone when its first cell decodes it again
+    paths = _texture_pgms(tmp_path, 3)
+    real_load_pgm = bench.load_pgm
+
+    def load_then_remove(path):
+        image = real_load_pgm(path)
+        if path == paths[victim]:
+            os.remove(path)
+        return image
+
+    monkeypatch.setattr(bench, "load_pgm", load_then_remove)
+    out = tmp_path / "run.csv"
+    before = threading.active_count()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--images", ",".join(paths), "--sigmas", "10", "--methods", "visu",
+                  "--trials", "1", "--levels", "2", "--workers", str(workers), "--out", str(out)])
+    assert exc.value.code.startswith("bench run: ") and "\n" not in exc.value.code
+    assert "No such file or directory" in exc.value.code and paths[victim] in exc.value.code
+    assert not out.exists()
+    assert threading.active_count() == before
 
 
 def test_summarize_means():
@@ -835,11 +916,7 @@ def test_cli_run_rejects_unusable_output_before_any_cell(tmp_path, monkeypatch, 
     img = tmp_path / "a.pgm"
     save_pgm(texture_image(64), img)
     (tmp_path / "file").write_text("")
-
-    def no_cell(*args, **kwargs):
-        pytest.fail("a cell ran")
-
-    monkeypatch.setattr(bench, "denoise", no_cell)
+    monkeypatch.setattr(bench, "denoise", _no_cell)
     argv = ["run", "--images", str(img), "--sigmas", "10", "--methods", "visu", "--trials", "1",
             "--levels", "2", "--out", out.format(d=tmp_path)]
     if save_images:

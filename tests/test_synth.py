@@ -1,5 +1,6 @@
 """Synthetic test-image generators."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -145,6 +146,14 @@ def test_texture_refuses_a_fractional_seed_before_drawing_noise():
     # gaussian_field would name the seed of its layer, seed + 50
     with pytest.raises(ValueError, match=r"^seed must be an integer, got 1\.5$"):
         texture_image(64, seed=1.5)
+
+
+@pytest.mark.parametrize("seed", ["3", None, -2.5, np.float64(7.0)])
+def test_texture_refuses_a_non_integer_seed_as_every_other_bad_seed(seed):
+    # a non-integer must not reach the texture's own range comparison
+    message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        texture_image(64, seed=seed)
 
 
 def test_texture_is_deterministic_and_bounded():
