@@ -131,8 +131,9 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
               trial: int, config: BenchConfig, noise=None) -> BenchRow:
     """Run one cell; `noise`, if given, is (its noisy image, the helper's future, the next image).
 
-    The cell takes its noisy image over (``take``), so once it is denoised
-    nothing holds it.
+    The cell takes its noisy image over (``take``) and hands it to
+    ``denoise`` (``overwrite_image``), so the bilateral passes write over it,
+    and once it is denoised nothing else holds it.
     """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
@@ -148,7 +149,7 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
             filling.result()
             noisy = image.take()
         t0 = time.perf_counter()
-        denoised = denoise(noisy, mcfg)
+        denoised = denoise(noisy, mcfg, overwrite_image=True)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
         del noisy
         report = evaluate(clean, denoised)

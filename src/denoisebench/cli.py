@@ -154,7 +154,9 @@ def _cmd_denoise(args) -> int:
     if args.sigma is not None and not 0 < args.sigma < math.inf:
         raise ValueError(f"--sigma must be finite and positive, got {args.sigma:g}")
     config = MethodConfig(method=_METHOD_ALIASES.get(args.method, args.method), levels=args.levels)
-    denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma)
+    # the loaded image is handed over: bilateral passes and MRBF write over it
+    denoised = denoise(load_pgm(getattr(args, "in")), config, oracle_sigma=args.sigma,
+                       overwrite_image=True)
     save_pgm(denoised, args.out)
     print(f"bench: {config.method}-denoised image written to {args.out}")
     return 0

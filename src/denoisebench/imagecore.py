@@ -5,6 +5,7 @@ real-valued and may leave [0, 255] while processing; quantization to 8-bit
 happens only in :func:`save_pgm`.
 """
 
+import math
 import re
 
 import numpy as np
@@ -18,15 +19,21 @@ class PgmError(ValueError):
 
 def as_image(data) -> np.ndarray:
     """Coerce array-like pixel data to a valid 2-D C-contiguous float64 image."""
-    img = np.asarray(data, dtype=np.float64, order="C")
+    return _checked(np.asarray(data, dtype=np.float64, order="C"))
+
+
+def _checked(img: np.ndarray) -> np.ndarray:
+    """`img`, once it is known to be 2-D, non-empty and finite."""
     if img.ndim != 2 or img.shape[0] < 1 or img.shape[1] < 1:
         raise ValueError(f"image must be 2-D and non-empty, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
+    # a NaN sets the minimum, an infinity one extreme: no image-sized temporary
+    if not (math.isfinite(img.min()) and math.isfinite(img.max())):
         raise ValueError("image contains non-finite samples")
     return img
 
 
-def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False) -> np.ndarray:
+def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False,
+                  edges=None) -> np.ndarray:
     """Rows ``r0 - half : r1 + half`` of `img`, padded by `half` on each side,
     written flat into the front of the float64 buffer `buf`; returns that view.
 
@@ -39,6 +46,12 @@ def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False) -> 
     The border is reflect-101 (``np.pad``'s ``reflect``, repeated on a side
     shorter than ``half + 1``) or, with `wrap`, periodic.  As in ``np.pad``,
     an empty side raises ValueError when ``half > 0``.
+
+    With `edges` (reflect-101 only), the rows outside ``r0:r1`` come not
+    from `img` but from ``edges[b]``, a copy of rows ``b - half : b + half``
+    (clipped to the image) made at the strip boundaries b = r0 and b = r1
+    before `img` changed: a filter that writes its output over `img` passes
+    them.  Every reflected row repeats one of the rows already in the buffer.
     """
     h, w = img.shape
     if half and not (h and w):
@@ -46,11 +59,20 @@ def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False) -> 
     pw = w + 2 * half
     flat = buf[: (r1 - r0 + 2 * half) * pw]
     rows = flat.reshape(r1 - r0 + 2 * half, pw)
+    inner = rows[:, half : half + w]
     first, top, bottom = r0 - half, max(r0 - half, 0), min(r1 + half, h)
-    rows[top - first : bottom - first, half : half + w] = img[top:bottom]
+    if edges is None:
+        inner[top - first : bottom - first] = img[top:bottom]
+    else:
+        inner[r0 - first : r1 - first] = img[r0:r1]
+        if top < r0:
+            inner[top - first : r0 - first] = edges[r0][: r0 - top]
+        if r1 < bottom:
+            inner[r1 - first : bottom - first] = edges[r1][min(half, r1) :]
     # the rows beyond the image's top and bottom, then every row's border columns
     beyond = np.r_[first:top, bottom : r1 + half]
-    rows[beyond - first, half : half + w] = img[_fold(beyond, h, wrap)]
+    source = _fold(beyond, h, wrap)
+    inner[beyond - first] = img[source] if wrap else inner[source - first]
     cols = np.r_[-half:0, w : w + half]
     rows[:, cols + half] = rows[:, _fold(cols, w, wrap) + half]
     return flat
@@ -61,6 +83,9 @@ def _fold(j, n: int, wrap: bool):
     copies: periodic, or reflect-101, which repeats every ``2 * (n - 1)``."""
     return j % n if wrap else n - 1 - abs(j % max(2 * n - 2, 1) - n + 1)
 
+
+# samples save_pgm rounds at a time: 512 KiB of float64
+_SAVE_BLOCK = 1 << 16
 
 # magic, then width, height and maxval, each after whitespace or '#' comments
 # running to the end of their line; one whitespace byte ends the header
@@ -123,14 +148,19 @@ def save_pgm(image, path) -> None:
 
     Samples are clamped to [0, 255] then rounded half-away-from-zero, so
     loading the file back reproduces the clamped-rounded image exactly.
+    They are converted one block of about ``_SAVE_BLOCK`` samples at a time,
+    so a save holds no image-sized temporary, nor a C-ordered copy of a
+    strided image.
     """
-    img = as_image(image)
-    # one image-sized temporary; np.round is half-to-even, the contract half-away-from-zero
-    rounded = np.clip(img, 0.0, 255.0)
-    rounded += 0.5
-    np.floor(rounded, out=rounded)
+    img = _checked(np.asarray(image, dtype=np.float64))
     height, width = img.shape
+    rows = max(1, _SAVE_BLOCK // width)
+    block = np.empty((min(rows, height), width))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(rounded.astype(np.uint8).tobytes())
-
+        for r0 in range(0, height, rows):
+            # np.round is half-to-even, the contract half-away-from-zero
+            rounded = np.clip(img[r0 : r0 + rows], 0.0, 255.0, out=block[: min(rows, height - r0)])
+            rounded += 0.5
+            np.floor(rounded, out=rounded)
+            fh.write(rounded.astype(np.uint8).tobytes())

@@ -31,7 +31,11 @@ def apply_threshold(band, t: float, soft: bool) -> np.ndarray:
         raise ValueError("threshold must be non-negative")
     x = np.asarray(band, dtype=np.float64)
     if soft:
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+        # sign(x) * max(|x| - t, 0), formed in the array returned
+        shrunk = np.abs(x)
+        shrunk -= t
+        np.maximum(shrunk, 0.0, out=shrunk)
+        return np.multiply(np.sign(x), shrunk, out=shrunk)
     return np.where(np.abs(x) > t, x, 0.0)
 
 

@@ -53,7 +53,7 @@ class Pyramid:
             raise ValueError(f"top_ll shape {self.top_ll.shape}, expected {(h >> k, w >> k)}")
 
 
-def dwt2_haar(grid) -> SubBands:
+def dwt2_haar(grid, *, out=None) -> SubBands:
     """Single-level separable orthonormal Haar analysis.
 
     Per 2x2 block [[a, b], [c, d]]: ll = (a+b+c+d)/2, hl = (a-b+c-d)/2,
@@ -66,22 +66,40 @@ def dwt2_haar(grid) -> SubBands:
     one reused pair of contiguous planes.  So beyond its input a call holds the
     four bands (one image) plus two scratch planes of 128 KiB (one band
     row each, where a row is longer).
+
+    With `out`, a float64 array of the grid's shape that is either the grid
+    itself or shares no memory with it, the bands are written into its rows
+    and returned as views: each band row lives in the two rows its block
+    came from, LL = ``out[0::2, :w/2]``, LH = ``out[0::2, w/2:]``,
+    HL = ``out[1::2, :w/2]``, HH = ``out[1::2, w/2:]``.  Where `out` is the
+    grid, a and b are gathered into two more scratch planes too, before
+    their block is overwritten.
     """
     x = np.asarray(grid, dtype=np.float64)
     h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"dimensions must be even, got {h}x{w}")
+    if out is not None and out.shape != x.shape:
+        raise ValueError(f"out has shape {out.shape}, the grid {x.shape}")
     h, w = h // 2, w // 2
-    ll, lh, hl, hh = (np.empty((h, w)) for _ in range(4))
+    if out is None:
+        ll, lh, hl, hh = (np.empty((h, w)) for _ in range(4))
+    else:
+        ll, lh, hl, hh = out[0::2, :w], out[0::2, w:], out[1::2, :w], out[1::2, w:]
     rows = max(1, _BLOCK // max(w, 1))
-    gathered = np.empty((2, min(rows, h), w))
+    overlap = out is not None and np.shares_memory(x, out)
+    gathered = np.empty((4 if overlap else 2, min(rows, h), w))
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
         block = x[2 * i0 : 2 * i1]
-        cd = gathered[:, : i1 - i0]
-        np.copyto(cd, block[1::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
-        a, b = block[0::2, 0::2], block[0::2, 1::2]
-        c, d = cd
+        planes = gathered[:, : i1 - i0]
+        np.copyto(planes[:2], block[1::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
+        c, d = planes[:2]
+        if overlap:
+            np.copyto(planes[2:], block[0::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
+            a, b = planes[2:]
+        else:
+            a, b = block[0::2, 0::2], block[0::2, 1::2]
         bll, blh, bhl, bhh = ll[i0:i1], lh[i0:i1], hl[i0:i1], hh[i0:i1]
         np.add(a, b, out=blh)
         np.subtract(a, b, out=bhh)
@@ -100,7 +118,7 @@ def dwt2_haar(grid) -> SubBands:
     return SubBands(ll=ll, lh=lh, hl=hl, hh=hh)
 
 
-def idwt2_haar(bands: SubBands) -> np.ndarray:
+def idwt2_haar(bands: SubBands, *, out=None) -> np.ndarray:
     """Exact inverse of :func:`dwt2_haar`.
 
     Per block: a = (ll+hl+lh+hh)/2, b = (ll-hl+lh-hh)/2, c = (ll+hl-lh-hh)/2,
@@ -110,19 +128,34 @@ def idwt2_haar(bands: SubBands) -> np.ndarray:
     contiguous planes and stored strided into the block's output rows.  So
     beyond its bands a call holds the output (one image) plus three
     scratch planes of 128 KiB (one band row each, where a row is longer).
+
+    The output goes to `out`, a float64 array of twice the bands' shape, and
+    is returned; by default it is a new array.  The bands may live in the
+    rows of `out` itself, as ``dwt2_haar(grid, out=grid)`` lays them out, or
+    must share no memory with it.  Where they share it, each band's block is
+    copied into one of four more scratch planes before the block's output
+    rows are written.
     """
     ll, hl, lh, hh = (
         np.asarray(band, dtype=np.float64) for band in (bands.ll, bands.hl, bands.lh, bands.hh)
     )
     h, w = ll.shape
-    out = np.empty((2 * h, 2 * w))
+    if out is None:
+        out = np.empty((2 * h, 2 * w))
+    elif out.shape != (2 * h, 2 * w):
+        raise ValueError(f"out has shape {out.shape}, the bands {(h, w)}")
     rows = max(1, _BLOCK // max(w, 1))
-    scratch = np.empty((3, min(rows, h), w))
+    overlap = any(np.shares_memory(out, band) for band in (ll, hl, lh, hh))
+    scratch = np.empty((7 if overlap else 3, min(rows, h), w))
     for i0 in range(0, h, rows):
         i1 = min(i0 + rows, h)
         bll, bhl, blh, bhh = ll[i0:i1], hl[i0:i1], lh[i0:i1], hh[i0:i1]
+        plus, minus, top, *copies = scratch[:, : i1 - i0]
+        if overlap:
+            for copy, band in zip(copies, (bll, bhl, blh, bhh)):
+                np.copyto(copy, band)
+            bll, bhl, blh, bhh = copies
         even, odd = out[2 * i0 : 2 * i1 : 2], out[2 * i0 + 1 : 2 * i1 : 2]
-        plus, minus, top = scratch[:, : i1 - i0]
         np.add(bll, bhl, out=plus)
         np.subtract(bll, bhl, out=minus)
         # the top row of each block goes through one contiguous scratch plane

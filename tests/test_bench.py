@@ -206,9 +206,9 @@ def test_cell_frees_its_noisy_image_before_scoring(tmp_path, monkeypatch, worker
     received, freed = {}, []
     real_denoise, real_evaluate = bench.denoise, bench.evaluate
 
-    def denoise_spy(noisy, mcfg):
+    def denoise_spy(noisy, mcfg, **kwargs):
         received[threading.get_ident()] = weakref.ref(noisy)
-        return real_denoise(noisy, mcfg)
+        return real_denoise(noisy, mcfg, **kwargs)
 
     def evaluate_spy(clean, denoised):
         freed.append(received.pop(threading.get_ident())() is None)
@@ -279,7 +279,7 @@ def test_serial_noise_equals_add_awgn_whoever_fills_the_chunks(tmp_path, monkeyp
     caller = threading.get_ident()
     received = []
 
-    def denoise_spy(noisy, mcfg):
+    def denoise_spy(noisy, mcfg, **kwargs):
         received.append(noisy.copy())
         return noisy
 
@@ -430,9 +430,9 @@ def test_sweep_holds_a_bounded_number_of_inputs_whatever_the_image_count(tmp_pat
         decoded.append(weakref.ref(image))
         return image
 
-    def denoise_spy(noisy, mcfg):
+    def denoise_spy(noisy, mcfg, **kwargs):
         live.append(sum(ref() is not None for ref in decoded))
-        return real_denoise(noisy, mcfg)
+        return real_denoise(noisy, mcfg, **kwargs)
 
     monkeypatch.setattr(bench, "load_pgm", load_spy)
     monkeypatch.setattr(bench, "denoise", denoise_spy)

@@ -338,6 +338,84 @@ def test_padded_strips_bit_identical_to_untiled_sum(monkeypatch, spy_pool, cores
     assert np.array_equal(bilateral_filter(img.T, params), _shifted_sum_oracle(img.T, params))
 
 
+def _filtered_over_itself(img, params):
+    out = bilateral_filter(img, params, out=img)
+    assert out is img
+    return out
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("h", range(2, 13))
+def test_in_place_bit_identical_to_untiled_sum(monkeypatch, cores, rows, h):
+    # strips of 1-3 rows on up to 3 lanes: each strip's window reaches rows
+    # that other strips write, reflected rows of a short first or last strip
+    # included, whichever lane runs them and in whatever order
+    w, window = 20, min(11, 2 * h - 1)
+    params = BilateralParams(sigma_r=20.0, window=window)
+    monkeypatch.setattr(bilateral, "_STRIP_LANES", rows * (w + window - 1))
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = np.random.default_rng(h).uniform(1.0, 255.0, (h, w))
+    want = _shifted_sum_oracle(img, params)
+    assert np.array_equal(_filtered_over_itself(img, params), want)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_in_place_on_a_strided_view(monkeypatch, cores):
+    # as MRBF filters a level's LL band: its grid's even rows, left half
+    monkeypatch.setattr(bilateral, "_STRIP_LANES", 3 * 60)
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    grid = np.random.default_rng(cores).uniform(1.0, 255.0, (48, 100))
+    before = grid.copy()
+    ll = grid[0::2, :50]
+    params = BilateralParams(sigma_r=20.0)
+    want = _shifted_sum_oracle(ll.copy(), params)
+    assert np.array_equal(_filtered_over_itself(ll, params), want)
+    others = np.ones(grid.shape, dtype=bool)
+    others[0::2, :50] = False
+    assert np.array_equal(grid[others], before[others])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_in_place_floor_pass_sums_a_strip_again(monkeypatch, cores):
+    # one pixel 3.6e-5 above its left neighbour: at the floor sigma_r that
+    # tap's exponent lies in [-700, -600), so the clamped sum of its strip
+    # stops and the strip is summed again from its padded buffer, after the
+    # strips around it may have written over their rows
+    h, w = 12, 30
+    params = BilateralParams(sigma_r=1e-6)
+    monkeypatch.setattr(bilateral, "_STRIP_LANES", 2 * (w + 10))
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    img = np.random.default_rng(47).integers(1, 5, (h, w)).astype(np.float64)
+    img[7, 12] = img[7, 11] + 3.6e-5
+    want = _shifted_sum_oracle(img, params)
+    exps = []
+    exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        exps.append(None)
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    got = _filtered_over_itself(img, params)
+    monkeypatch.undo()
+    # six strips of two rows, 121 offsets each, and part of one more sum
+    assert len(exps) > 6 * 121
+    assert np.array_equal(got, want)
+
+
+def test_out_must_be_the_image_or_apart_from_it():
+    img = np.random.default_rng(5).uniform(0.0, 255.0, (20, 30))
+    params = BilateralParams(window=5)
+    with pytest.raises(ValueError, match="out must be the image itself or share no memory"):
+        bilateral_filter(img[:, :20], params, out=img[:, 10:])
+    with pytest.raises(ValueError, match="out has shape"):
+        bilateral_filter(img, params, out=np.empty((20, 29)))
+    apart = np.empty_like(img)
+    assert bilateral_filter(img, params, out=apart) is apart
+    assert np.array_equal(apart, _shifted_sum_oracle(img, params))
+
+
 @pytest.mark.parametrize("cores", [2, 4])
 def test_small_main_thread_call_stays_on_one_lane(monkeypatch, spy_pool, cores):
     monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)

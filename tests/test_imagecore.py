@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from denoisebench import imagecore
 from denoisebench.imagecore import (
     PgmError,
     _padded_lanes,
@@ -46,6 +47,26 @@ def test_padded_lanes_match_np_pad_on_every_strip(mode, half):
             for r1 in range(r0 + 1, h + 1):
                 got = _padded_lanes(img, r0, r1, half, buf, wrap=mode == "wrap")
                 assert np.shares_memory(got, buf)
+                assert got.tobytes() == want[r0 : r1 + 2 * half].tobytes()
+
+
+@pytest.mark.parametrize("half", range(1, 6))
+def test_padded_lanes_take_other_strips_rows_from_edges(half):
+    # as a filter written over its input pads each strip: rows outside the
+    # strip may already hold output, so they come from copies made at the
+    # strip's boundaries before anything was written
+    rng = np.random.default_rng(half)
+    for h, w in [(1, 4), (2, 5), (3, 3), (6, 4), (11, 7)]:
+        img = rng.normal(size=(h, w))
+        want = np.pad(img, half, mode="reflect")
+        edges = {b: img[max(b - half, 0) : b + half].copy() for b in range(1, h)}
+        buf = np.empty((h + 2 * half) * (w + 2 * half))
+        for r0 in range(h):
+            for r1 in range(r0 + 1, h + 1):
+                written = img.copy()
+                written[:r0] = np.nan
+                written[r1:] = np.nan
+                got = _padded_lanes(written, r0, r1, half, buf, edges=edges)
                 assert got.tobytes() == want[r0 : r1 + 2 * half].tobytes()
 
 
@@ -151,6 +172,33 @@ def test_save_clamps_and_rounds_half_up(tmp_path, value, expected):
     path = tmp_path / "t.pgm"
     save_pgm(np.array([[value]]), path)
     assert load_pgm(path)[0, 0] == expected
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 16])
+def test_save_in_row_blocks_writes_the_whole_image_rule(tmp_path, monkeypatch, block):
+    # one row per block, several rows with a shorter last block, or one
+    # block; a strided view is saved without a C-ordered copy of it
+    monkeypatch.setattr(imagecore, "_SAVE_BLOCK", block)
+    rng = np.random.default_rng(block)
+    big = rng.uniform(-40.0, 300.0, (50, 30))
+    big[3, 4], big[6, 8] = 0.5, 254.5
+    for image in (big, big[1::2, ::3], big.T):
+        path = tmp_path / "t.pgm"
+        save_pgm(image, path)
+        want = np.floor(np.clip(image, 0.0, 255.0) + 0.5).astype(np.uint8)
+        header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
+        assert path.read_bytes() == header + want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_rejects_non_finite_samples_before_writing(tmp_path, bad):
+    image = np.zeros((4, 6))
+    image[2, 3] = bad
+    path = tmp_path / "t.pgm"
+    for view in (image, image[::2, 1:]):
+        with pytest.raises(ValueError, match="non-finite"):
+            save_pgm(view, path)
+        assert not path.exists()
 
 
 _SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes
 
 from denoisebench import bilateral, pipelines
+from denoisebench.bilateral import BilateralParams, bilateral_filter
+from denoisebench.imagecore import save_pgm
 from denoisebench.metrics import evaluate, psnr
 from denoisebench.noise import NoiseModel, add_awgn, estimate_noise_mad
 from denoisebench.pipelines import METHODS, MethodConfig, collaborative, denoise, mrbf
+from denoisebench.shrinkage import apply_threshold, band_stats, bayes_threshold
 from denoisebench.synth import texture_image
-from denoisebench.wavelet import decompose, dwt2_haar
+from denoisebench.wavelet import SubBands, decompose, dwt2_haar, idwt2_haar
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +76,8 @@ def test_only_detail_bands_are_thresholded(monkeypatch):
             return fn(band, *args, **kwargs)
         return spy
 
-    def split(grid, real=pipelines.dwt2_haar):
-        splits.append(real(grid))
+    def split(grid, real=pipelines.dwt2_haar, **kwargs):
+        splits.append(real(grid, **kwargs))
         return splits[-1]
 
     monkeypatch.setattr(pipelines, "apply_threshold", shrinker(pipelines.apply_threshold))
@@ -177,9 +180,11 @@ def test_every_bilateral_pass_uses_one_parameter_rule(monkeypatch, texture, shap
     calls = []
     original = pipelines.bilateral_filter
 
-    def recording(image, params):
-        out = original(image, params)
-        calls.append((image, params, out))
+    def recording(image, params, **kwargs):
+        # a pass may write over its input, and a later split over its output
+        before = image.copy()
+        out = original(image, params, **kwargs)
+        calls.append((before, params, out.copy()))
         return out
 
     monkeypatch.setattr(pipelines, "bilateral_filter", recording)
@@ -239,25 +244,89 @@ def test_mrbf_float_output_same_for_every_lane_count_at_1024(monkeypatch):
     assert all(np.array_equal(outputs[0], out) for out in outputs[1:])
 
 
+@pytest.mark.parametrize("on_worker", [False, True])
+def test_denoise_never_writes_into_its_argument(on_worker):
+    # the caller's own array (np.asarray returns it), a strided view of
+    # another, and a shape off the Haar grid, which each method pads
+    parent = add_awgn(texture_image(256), NoiseModel(sigma=20.0, seed=12))
+    images = [parent.copy(), parent[::2, 1::2], parent[:75, :100].copy()]
+    assert images[0].flags.c_contiguous and np.asarray(images[0], dtype=np.float64) is images[0]
+    saved = parent.copy()
+
+    def run(method):
+        for image in images:
+            before = image.tobytes()
+            out = denoise(image, MethodConfig(method=method))
+            assert not np.shares_memory(out, image), method
+            assert image.tobytes() == before, method
+
+    for method in METHODS:
+        if on_worker:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+                pool.submit(run, method).result()
+        else:
+            run(method)
+    assert parent.tobytes() == saved.tobytes()
+
+
+def _mrbf_oracle(image, levels):
+    """MRBF out of place from the public kernels: every pass, split, shrink and
+    synthesis makes new arrays, and the noise is the MAD of a whole split's HH."""
+
+    def filtered(grid, sigma):
+        window = min(11, 2 * min(grid.shape) - 1)
+        params = BilateralParams(sigma_d=1.8, sigma_r=max(2.0 * sigma, 1e-6), window=window)
+        return bilateral_filter(grid, params)
+
+    def recurse(grid, level):
+        grid = filtered(grid, estimate_noise_mad(dwt2_haar(grid).hh))
+        bands = dwt2_haar(grid)
+        sigma = estimate_noise_mad(bands.hh)
+        lh, hl, hh = (apply_threshold(band, bayes_threshold(sigma, band_stats(band, sigma)), soft=True)
+                      for band in (bands.lh, bands.hl, bands.hh))
+        ll = filtered(bands.ll, sigma) if level == levels else recurse(bands.ll, level + 1)
+        return idwt2_haar(SubBands(ll=ll, lh=lh, hl=hl, hh=hh))
+
+    h, w = image.shape
+    step = 1 << levels
+    return recurse(np.pad(image, ((0, -h % step), (0, -w % step)), mode="reflect"), 1)[:h, :w]
+
+
+@pytest.mark.parametrize("shape, cores", [((256, 256), 1), ((700, 1000), 2)])
+def test_mrbf_in_place_equals_out_of_place_oracle(monkeypatch, shape, cores):
+    # the float64 output, which rounding to an 8-bit PGM would hide a last bit of
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: cores)
+    clean = np.tile(texture_image(512), (2, 2))[: shape[0], : shape[1]]
+    image = add_awgn(clean, NoiseModel(sigma=25.0, seed=13))
+    want = _mrbf_oracle(image, 3)
+    owned = image.copy()
+    got = denoise(owned, MethodConfig(method="mrbf"), overwrite_image=True)
+    assert np.array_equal(got, want)
+    assert shape[0] % 8 or shape[1] % 8 or got is owned
+
+
 @pytest.fixture(scope="module")
 def texture512():
     return texture_image(512)
 
 
-def _copies_held(fn, image, *args) -> float:
-    """Peak memory traced during ``fn(image, *args)`` above what was traced
-    before it, in copies of `image`.
+def _copies_held(fn, image, *args, on_main=False, **kwargs) -> float:
+    """Peak memory traced during ``fn(image, *args, **kwargs)`` above what was
+    traced before it, in copies of `image`.
 
-    The call runs on a worker thread, where the bilateral filter takes one lane.
+    The call runs on a worker thread, where the bilateral filter takes one
+    lane, or with `on_main` on the calling thread.
     """
     def measure():
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        fn(image, *args)
+        fn(image, *args, **kwargs)
         return tracemalloc.get_traced_memory()[1] - before
 
     tracemalloc.start()
     try:
+        if on_main:
+            return measure() / image.nbytes
         with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
             return pool.submit(measure).result() / image.nbytes
     finally:
@@ -275,6 +344,36 @@ def _copies_held(fn, image, *args) -> float:
 def test_working_set_in_image_copies(texture512, method, bound):
     noisy = add_awgn(texture512, NoiseModel(sigma=30.0, seed=1))
     assert _copies_held(denoise, noisy, MethodConfig(method=method)) <= bound
+
+
+@pytest.mark.parametrize("method, bound", [
+    # one lane's strip buffers (1.45 copies of a 512x512 image) and the
+    # rows copied at the strip boundaries; no output array
+    ("bilateral", 1.6), ("mrbf", 1.6),
+    # the Bayes stage, whose output the pass then writes over
+    ("collaborative", 2.7),
+])
+def test_working_set_beyond_an_image_handed_over(texture512, method, bound):
+    noisy = add_awgn(texture512, NoiseModel(sigma=30.0, seed=1))
+    assert _copies_held(denoise, noisy, MethodConfig(method=method), overwrite_image=True) <= bound
+
+
+@pytest.mark.parametrize("method, bound", [("mrbf", 0.9), ("bilateral", 0.9), ("collaborative", 2.4)])
+def test_main_thread_working_set_at_1024_beyond_an_image_handed_over(monkeypatch, method, bound):
+    # as `bench denoise` runs, over the loaded image: for mrbf and bilateral
+    # two lanes' strip buffers (0.70 copies) and the rows copied at 11 strip
+    # boundaries (0.11); for collaborative its Bayes stage
+    monkeypatch.setattr(bilateral, "_cpu_count", lambda: 2)
+    noisy = add_awgn(np.tile(texture_image(256), (4, 4)), NoiseModel(sigma=25.0, seed=11))
+    held = _copies_held(denoise, noisy, MethodConfig(method=method), overwrite_image=True,
+                        on_main=True)
+    assert held <= bound
+
+
+def test_save_pgm_working_set_in_image_copies(tmp_path):
+    # one row block of float64 and its bytes at a time
+    image = add_awgn(np.tile(texture_image(256), (4, 4)), NoiseModel(sigma=25.0, seed=11))
+    assert _copies_held(save_pgm, image, tmp_path / "out.pgm") <= 0.2
 
 
 def test_scoring_working_set_in_image_copies(texture512):

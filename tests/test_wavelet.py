@@ -106,6 +106,52 @@ def test_haar_row_blocks_equal_oracles_exactly(monkeypatch, block):
         np.testing.assert_array_equal(idwt2_haar(bands), _idwt2_haar_oracle(bands), strict=True)
 
 
+@pytest.mark.parametrize("block", [1, 6, 64, 1 << 14])
+def test_haar_in_place_equals_oracles_exactly(monkeypatch, block):
+    # the bands in the grid's own rows, and the synthesis back over them; one
+    # band row per block, several with a shorter last one, or one block
+    monkeypatch.setattr(wavelet, "_BLOCK", block)
+    rng = np.random.default_rng(16)
+    big = rng.normal(0.0, 50.0, (120, 340))
+    grids = [
+        rng.normal(0.0, 1e3, (26, 12)),
+        rng.uniform(0.0, 255.0, (10, 300)),
+        rng.uniform(0.0, 255.0, (128, 96)),
+        big[0::2, :170][:58],  # an MRBF level's LL band: even rows, left half
+        big.T[3:47, :20],
+    ]
+    for grid in grids:
+        want = _dwt2_haar_oracle(grid)
+        round_trip = _idwt2_haar_oracle(want)
+        w = grid.shape[1] // 2
+        got = dwt2_haar(grid, out=grid)
+        for band, rows in zip(("ll", "lh", "hl", "hh"),
+                              (grid[0::2, :w], grid[0::2, w:], grid[1::2, :w], grid[1::2, w:])):
+            np.testing.assert_array_equal(getattr(got, band), getattr(want, band), strict=True)
+            assert np.shares_memory(getattr(got, band), rows)
+        assert idwt2_haar(got, out=grid) is grid
+        np.testing.assert_array_equal(grid, round_trip, strict=True)
+
+
+def test_haar_out_of_place_into_given_arrays():
+    rng = np.random.default_rng(17)
+    grid = rng.normal(0.0, 50.0, (24, 40))
+    before = grid.copy()
+    rows = np.empty_like(grid)
+    got = dwt2_haar(grid, out=rows)
+    want = _dwt2_haar_oracle(grid)
+    for band in ("ll", "lh", "hl", "hh"):
+        np.testing.assert_array_equal(getattr(got, band), getattr(want, band), strict=True)
+    out = np.empty_like(grid)
+    assert idwt2_haar(got, out=out) is out
+    np.testing.assert_array_equal(out, _idwt2_haar_oracle(want), strict=True)
+    np.testing.assert_array_equal(grid, before, strict=True)
+    with pytest.raises(ValueError, match="out has shape"):
+        dwt2_haar(grid, out=np.empty((24, 42)))
+    with pytest.raises(ValueError, match="out has shape"):
+        idwt2_haar(got, out=np.empty((12, 20)))
+
+
 def test_dwt_hand_example():
     bands = dwt2_haar(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert bands.ll[0, 0] == 5.0
