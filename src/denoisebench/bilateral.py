@@ -99,7 +99,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from denoisebench.imagecore import _padded_lanes
+from denoisebench.imagecore import _in_place, _padded_lanes
 
 __all__ = ["BilateralParams", "bilateral_filter"]
 
@@ -193,9 +193,7 @@ def bilateral_filter(image, params: BilateralParams, *, out=None) -> np.ndarray:
         out = np.empty_like(img)
     elif out.shape != img.shape:
         raise ValueError(f"out has shape {out.shape}, the image {img.shape}")
-    in_place = np.shares_memory(img, out)
-    if in_place and (out.ctypes.data, out.strides) != (img.ctypes.data, img.strides):
-        raise ValueError("out must be the image itself or share no memory with it")
+    in_place = _in_place(img, out, "image")
     half = params.window // 2
     inv_2sd2 = _inv_2s2(params.sigma_d)
     inv_2sr2 = _inv_2s2(params.sigma_r)

@@ -32,6 +32,23 @@ def _checked(img: np.ndarray) -> np.ndarray:
     return img
 
 
+def _in_place(x, out, what: str, home=None) -> bool:
+    """Whether the kernel input `x` lives in its output `out`.
+
+    False when the two share no memory; True when `x` is `home`, the view of
+    `out` where the kernel expects it (by default `out` itself).  Any other
+    overlap raises ValueError: the kernel would read values of `x` that it
+    has already overwritten.
+    """
+    if not np.shares_memory(x, out):
+        return False
+    home = out if home is None else home
+    if (x.ctypes.data, x.strides) != (home.ctypes.data, home.strides):
+        place = f"be the {what} itself" if home is out else f"hold the {what} in its own rows"
+        raise ValueError(f"out must {place} or share no memory with it")
+    return True
+
+
 def _padded_lanes(img, r0: int, r1: int, half: int, buf, wrap: bool = False,
                   edges=None) -> np.ndarray:
     """Rows ``r0 - half : r1 + half`` of `img`, padded by `half` on each side,

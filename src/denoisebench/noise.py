@@ -55,7 +55,11 @@ __all__ = [
     "MAD_GAUSSIAN_CONSISTENCY",
 ]
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# SplitMix64's counter increment and its finalizer's two multipliers
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK64 = (1 << 64) - 1
 
 # Gaussian pairs per chunk of a noise field
 _CHUNK_PAIRS = 1 << 15
@@ -99,16 +103,25 @@ def _splitmix64(seed: int, z: np.ndarray, tmp: np.ndarray) -> None:
     `tmp` is a uint64 work array of the same shape; its contents are lost.
     """
     with np.errstate(over="ignore"):
-        z *= _GOLDEN
+        z *= np.uint64(_GOLDEN)
         z += np.uint64(seed)
         np.right_shift(z, np.uint64(30), out=tmp)
         z ^= tmp
-        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z *= np.uint64(_MIX1)
         np.right_shift(z, np.uint64(27), out=tmp)
         z ^= tmp
-        z *= np.uint64(0x94D049BB133111EB)
+        z *= np.uint64(_MIX2)
         np.right_shift(z, np.uint64(31), out=tmp)
         z ^= tmp
+
+
+def _splitmix64_first(seed: int) -> int:
+    """The first output of the SplitMix64 stream for `seed` in [0, 2**64),
+    ``int(splitmix64_stream(seed, 1)[0])``, in Python ints."""
+    z = (seed + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:

@@ -21,7 +21,8 @@ from denoisebench.shrinkage import (
     sure_threshold,
     visu_threshold,
 )
-from denoisebench.wavelet import Pyramid, check_grid, decompose, dwt2_haar, idwt2_haar, reconstruct
+from denoisebench.wavelet import (Pyramid, _finest_hh, check_grid, decompose, dwt2_haar,
+                                  idwt2_haar, reconstruct)
 
 __all__ = ["MethodConfig", "METHODS", "denoise", "collaborative", "mrbf"]
 
@@ -48,23 +49,17 @@ class MethodConfig:
 def _sigma(oracle_sigma, grid=None, hh=None) -> float:
     """Noise std: `oracle_sigma` when given, else the MAD estimate of the finest HH band.
 
-    Pass `hh` when the caller already holds that band; otherwise it is
-    formed from the even-trimmed `grid` as :func:`dwt2_haar` forms it, with
-    none of the other three bands.  A given sigma forms no band.
+    Pass `hh` when the caller already holds that band; otherwise
+    ``wavelet._finest_hh`` forms it from the even-trimmed `grid` as
+    :func:`dwt2_haar` forms it, with none of the other three bands.  A given
+    sigma forms no band.
     """
     if oracle_sigma is not None:
         sigma = float(oracle_sigma)
         if not 0 <= sigma < math.inf:
             raise ValueError(f"oracle_sigma must be finite and non-negative, got {sigma:g}")
         return sigma
-    if hh is None:
-        h, w = grid.shape
-        g = grid[: h - h % 2, : w - w % 2]
-        hh = np.subtract(g[0::2, 0::2], g[0::2, 1::2])
-        hh -= g[1::2, 0::2]
-        hh += g[1::2, 1::2]
-        hh /= 2.0
-    return estimate_noise_mad(hh)
+    return estimate_noise_mad(_finest_hh(grid) if hh is None else hh)
 
 
 # One detail-band shrinker per wavelet method, (band, sigma) -> band:

@@ -3,11 +3,17 @@
 The orthonormal normalization keeps white-noise variance identical in every
 sub-band, so one global noise estimate applies to all detail bands and the
 universal/SURE threshold formulas hold unchanged across levels.
+
+The 2x2 Haar matrix is its own inverse, so analysis and synthesis run one
+butterfly.  Both work one row block at a time and read the block whole into
+four planes before writing any of it, so either may write over its input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from denoisebench.imagecore import _in_place
 
 __all__ = ["SubBands", "Pyramid", "check_grid", "dwt2_haar", "idwt2_haar", "decompose", "reconstruct"]
 
@@ -53,68 +59,88 @@ class Pyramid:
             raise ValueError(f"top_ll shape {self.top_ll.shape}, expected {(h >> k, w >> k)}")
 
 
+def _butterfly(p, q, r, s, out0, out1, out2, out3) -> None:
+    """The 2x2 Haar matrix, its own inverse, on four planes of one row block.
+
+    Writes (p+q+r+s)/2, (p-q+r-s)/2, (p+q-r-s)/2 and (p-q-r+s)/2 into
+    `out0` to `out3`, each sum taken left to right from a shared ``p+q``
+    (in `out2`) or ``p-q`` (in `out3`).  No output may share memory with an
+    input.
+    """
+    np.add(p, q, out=out2)
+    np.subtract(p, q, out=out3)
+    np.add(out2, r, out=out0)
+    out0 += s
+    out0 /= 2.0
+    np.add(out3, r, out=out1)
+    out1 -= s
+    out1 /= 2.0
+    out2 -= r
+    out2 -= s
+    out2 /= 2.0
+    out3 -= r
+    out3 += s
+    out3 /= 2.0
+
+
+def _finest_hh(grid) -> np.ndarray:
+    """The HH band alone of `grid` trimmed to even sides, formed in the
+    butterfly's order: ((a-b) - c + d) / 2."""
+    h, w = grid.shape
+    g = grid[: h - h % 2, : w - w % 2]
+    hh = np.subtract(g[0::2, 0::2], g[0::2, 1::2])
+    hh -= g[1::2, 0::2]
+    hh += g[1::2, 1::2]
+    hh /= 2.0
+    return hh
+
+
+def _blocks(h: int, w: int):
+    """Four reused planes of one row block, and the (i0, i1) band rows of each block."""
+    rows = max(1, _BLOCK // max(w, 1))
+    planes = np.empty((4, min(rows, h), w))
+    return planes, [(i0, min(i0 + rows, h)) for i0 in range(0, h, rows)]
+
+
 def dwt2_haar(grid, *, out=None) -> SubBands:
     """Single-level separable orthonormal Haar analysis.
 
     Per 2x2 block [[a, b], [c, d]]: ll = (a+b+c+d)/2, hl = (a-b+c-d)/2,
     lh = (a+b-c-d)/2, hh = (a-b-c+d)/2.  Energy is preserved.
 
-    Each sum is taken left to right, so ``a+b`` and ``a-b`` are formed once
-    and every band is finished in place from one of them.  The bands are
-    filled one row block of about ``_BLOCK`` band elements at a time: c and
-    d, which each band reads, are first gathered from the block's rows into
-    one reused pair of contiguous planes.  So beyond its input a call holds the
-    four bands (one image) plus two scratch planes of 128 KiB (one band
-    row each, where a row is longer).
+    One row block of about ``_BLOCK`` band elements at a time, a, b, c and d
+    are gathered from the block's rows into four reused contiguous planes,
+    and only then are the block's bands written (see :func:`_butterfly`).
+    So beyond its input a call holds the four bands (one image) plus four
+    planes of 128 KiB (one band row each, where a row is longer).
 
     With `out`, a float64 array of the grid's shape that is either the grid
-    itself or shares no memory with it, the bands are written into its rows
-    and returned as views: each band row lives in the two rows its block
-    came from, LL = ``out[0::2, :w/2]``, LH = ``out[0::2, w/2:]``,
-    HL = ``out[1::2, :w/2]``, HH = ``out[1::2, w/2:]``.  Where `out` is the
-    grid, a and b are gathered into two more scratch planes too, before
-    their block is overwritten.
+    itself or shares no memory with it (else ValueError), the bands are
+    written into its rows and returned as views: each band row lives in the
+    two rows its block came from, LL = ``out[0::2, :w/2]``, LH =
+    ``out[0::2, w/2:]``, HL = ``out[1::2, :w/2]``, HH = ``out[1::2, w/2:]``.
+    As each block is read before it is written, the grid itself takes the
+    same path as memory apart from it.
     """
     x = np.asarray(grid, dtype=np.float64)
     h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"dimensions must be even, got {h}x{w}")
-    if out is not None and out.shape != x.shape:
-        raise ValueError(f"out has shape {out.shape}, the grid {x.shape}")
     h, w = h // 2, w // 2
     if out is None:
         ll, lh, hl, hh = (np.empty((h, w)) for _ in range(4))
     else:
+        if out.shape != x.shape:
+            raise ValueError(f"out has shape {out.shape}, the grid {x.shape}")
+        _in_place(x, out, "grid")
         ll, lh, hl, hh = out[0::2, :w], out[0::2, w:], out[1::2, :w], out[1::2, w:]
-    rows = max(1, _BLOCK // max(w, 1))
-    overlap = out is not None and np.shares_memory(x, out)
-    gathered = np.empty((4 if overlap else 2, min(rows, h), w))
-    for i0 in range(0, h, rows):
-        i1 = min(i0 + rows, h)
-        block = x[2 * i0 : 2 * i1]
-        planes = gathered[:, : i1 - i0]
-        np.copyto(planes[:2], block[1::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
-        c, d = planes[:2]
-        if overlap:
-            np.copyto(planes[2:], block[0::2].reshape(i1 - i0, w, 2).transpose(2, 0, 1))
-            a, b = planes[2:]
-        else:
-            a, b = block[0::2, 0::2], block[0::2, 1::2]
-        bll, blh, bhl, bhh = ll[i0:i1], lh[i0:i1], hl[i0:i1], hh[i0:i1]
-        np.add(a, b, out=blh)
-        np.subtract(a, b, out=bhh)
-        np.add(blh, c, out=bll)
-        bll += d
-        bll /= 2.0
-        np.add(bhh, c, out=bhl)
-        bhl -= d
-        bhl /= 2.0
-        blh -= c
-        blh -= d
-        blh /= 2.0
-        bhh -= c
-        bhh += d
-        bhh /= 2.0
+    planes, blocks = _blocks(h, w)
+    for i0, i1 in blocks:
+        a, b, c, d = abcd = planes[:, : i1 - i0]
+        # plane 2 * row phase + column phase: a, b from even rows, c, d from odd
+        np.copyto(abcd.reshape(2, 2, i1 - i0, w),
+                  x[2 * i0 : 2 * i1].reshape(i1 - i0, 2, w, 2).transpose(1, 3, 0, 2))
+        _butterfly(a, b, c, d, ll[i0:i1], hl[i0:i1], lh[i0:i1], hh[i0:i1])
     return SubBands(ll=ll, lh=lh, hl=hl, hh=hh)
 
 
@@ -122,19 +148,18 @@ def idwt2_haar(bands: SubBands, *, out=None) -> np.ndarray:
     """Exact inverse of :func:`dwt2_haar`.
 
     Per block: a = (ll+hl+lh+hh)/2, b = (ll-hl+lh-hh)/2, c = (ll+hl-lh-hh)/2,
-    d = (ll-hl-lh+hh)/2, each sum taken left to right from a shared
-    ``ll+hl`` or ``ll-hl``.  One row block of about ``_BLOCK`` band elements
-    at a time, the four output phases are formed in one reused set of three
-    contiguous planes and stored strided into the block's output rows.  So
-    beyond its bands a call holds the output (one image) plus three
-    scratch planes of 128 KiB (one band row each, where a row is longer).
+    d = (ll-hl-lh+hh)/2: the analysis butterfly on (ll, hl, lh, hh).  One
+    row block of about ``_BLOCK`` band elements at a time, a, b, c and d are
+    formed from the block's band rows in four reused contiguous planes, and
+    only then stored into the block's output rows.  So beyond its bands a
+    call holds the output (one image) plus four planes of 128 KiB (one band
+    row each, where a row is longer).
 
     The output goes to `out`, a float64 array of twice the bands' shape, and
-    is returned; by default it is a new array.  The bands may live in the
-    rows of `out` itself, as ``dwt2_haar(grid, out=grid)`` lays them out, or
-    must share no memory with it.  Where they share it, each band's block is
-    copied into one of four more scratch planes before the block's output
-    rows are written.
+    is returned; by default it is a new array.  A band that shares memory
+    with `out` must be its view in ``dwt2_haar(grid, out=grid)``'s row
+    layout (else ValueError): its rows then lie in the output rows of their
+    own block, which the block reads before it writes them.
     """
     ll, hl, lh, hh = (
         np.asarray(band, dtype=np.float64) for band in (bands.ll, bands.hl, bands.lh, bands.hh)
@@ -144,37 +169,16 @@ def idwt2_haar(bands: SubBands, *, out=None) -> np.ndarray:
         out = np.empty((2 * h, 2 * w))
     elif out.shape != (2 * h, 2 * w):
         raise ValueError(f"out has shape {out.shape}, the bands {(h, w)}")
-    rows = max(1, _BLOCK // max(w, 1))
-    overlap = any(np.shares_memory(out, band) for band in (ll, hl, lh, hh))
-    scratch = np.empty((7 if overlap else 3, min(rows, h), w))
-    for i0 in range(0, h, rows):
-        i1 = min(i0 + rows, h)
-        bll, bhl, blh, bhh = ll[i0:i1], hl[i0:i1], lh[i0:i1], hh[i0:i1]
-        plus, minus, top, *copies = scratch[:, : i1 - i0]
-        if overlap:
-            for copy, band in zip(copies, (bll, bhl, blh, bhh)):
-                np.copyto(copy, band)
-            bll, bhl, blh, bhh = copies
+    else:
+        homes = (out[0::2, :w], out[1::2, :w], out[0::2, w:], out[1::2, w:])
+        for name, band, home in zip(("ll", "hl", "lh", "hh"), (ll, hl, lh, hh), homes):
+            _in_place(band, out, f"{name} band", home)
+    planes, blocks = _blocks(h, w)
+    for i0, i1 in blocks:
+        a, b, c, d = planes[:, : i1 - i0]
+        _butterfly(ll[i0:i1], hl[i0:i1], lh[i0:i1], hh[i0:i1], a, b, c, d)
         even, odd = out[2 * i0 : 2 * i1 : 2], out[2 * i0 + 1 : 2 * i1 : 2]
-        np.add(bll, bhl, out=plus)
-        np.subtract(bll, bhl, out=minus)
-        # the top row of each block goes through one contiguous scratch plane
-        np.add(plus, blh, out=top)
-        top += bhh
-        top /= 2.0
-        even[:, 0::2] = top
-        np.add(minus, blh, out=top)
-        top -= bhh
-        top /= 2.0
-        even[:, 1::2] = top
-        plus -= blh
-        plus -= bhh
-        plus /= 2.0
-        odd[:, 0::2] = plus
-        minus -= blh
-        minus += bhh
-        minus /= 2.0
-        odd[:, 1::2] = minus
+        even[:, 0::2], even[:, 1::2], odd[:, 0::2], odd[:, 1::2] = a, b, c, d
     return out
 
 

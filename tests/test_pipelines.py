@@ -204,6 +204,15 @@ def test_every_bilateral_pass_uses_one_parameter_rule(monkeypatch, texture, shap
             assert params.sigma_r == max(2.0 * sigma_hat, 1e-6), method
 
 
+def test_estimated_sigma_on_an_odd_image_uses_the_even_trimmed_grid(texture):
+    # bilateral filters the image as it is; its noise estimate drops the last
+    # row and column, as the MAD of dwt2_haar's HH of the even-trimmed image
+    noisy = add_awgn(texture[:37, :13], NoiseModel(sigma=20.0, seed=10))
+    sigma_hat = estimate_noise_mad(dwt2_haar(noisy[:36, :12]).hh)
+    want = bilateral_filter(noisy, BilateralParams(sigma_d=1.8, sigma_r=2.0 * sigma_hat, window=11))
+    np.testing.assert_array_equal(denoise(noisy, MethodConfig(method="bilateral")), want, strict=True)
+
+
 def test_collaborative_composition(texture):
     noisy = add_awgn(texture, NoiseModel(sigma=30.0, seed=2))
     config = MethodConfig(method="collaborative")

@@ -119,6 +119,9 @@ def test_haar_in_place_equals_oracles_exactly(monkeypatch, block):
         rng.uniform(0.0, 255.0, (128, 96)),
         big[0::2, :170][:58],  # an MRBF level's LL band: even rows, left half
         big.T[3:47, :20],
+        rng.normal(0.0, 50.0, (2, 300)),  # one band row
+        rng.normal(0.0, 50.0, (300, 2)),  # one band column
+        rng.normal(0.0, 50.0, (140, 600)),  # 300-wide band rows: a short last block at 2^14
     ]
     for grid in grids:
         want = _dwt2_haar_oracle(grid)
@@ -150,6 +153,35 @@ def test_haar_out_of_place_into_given_arrays():
         dwt2_haar(grid, out=np.empty((24, 42)))
     with pytest.raises(ValueError, match="out has shape"):
         idwt2_haar(got, out=np.empty((12, 20)))
+
+
+def test_haar_rejects_an_out_that_overlaps_its_input_any_other_way():
+    # reading such an input while writing the out would read overwritten
+    # values; the check comes before anything is written
+    rng = np.random.default_rng(18)
+    storage = rng.normal(0.0, 50.0, (26, 40))
+    grid = storage[:24]
+    before = storage.copy()
+    for out in (grid[::-1], storage[1:25]):  # flipped, and one row off
+        with pytest.raises(ValueError, match="out must be the grid itself or share no memory"):
+            dwt2_haar(grid, out=out)
+    np.testing.assert_array_equal(storage, before, strict=True)
+    bands = dwt2_haar(grid)
+    h, w = bands.ll.shape
+    # the bands in the Mallat quadrant layout of the out
+    quadrants = np.block([[bands.ll, bands.hl], [bands.lh, bands.hh]])
+    cases = [(SubBands(ll=quadrants[:h, :w], hl=quadrants[:h, w:],
+                       lh=quadrants[h:, :w], hh=quadrants[h:, w:]), quadrants)]
+    # the bands of another grid in that grid's rows, one or two rows off the out
+    for shift in (1, 2):
+        rows = storage.copy()
+        other = rows[shift : shift + 2 * h]
+        cases.append((dwt2_haar(other, out=other), rows[: 2 * h]))
+    for bands, out in cases:
+        kept = out.copy()
+        with pytest.raises(ValueError, match="band in its own rows or share no memory"):
+            idwt2_haar(bands, out=out)
+        np.testing.assert_array_equal(out, kept, strict=True)
 
 
 def test_dwt_hand_example():
