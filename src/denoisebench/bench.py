@@ -14,15 +14,22 @@ Inputs stream through a sweep: each is read once as a check before any
 cell runs, then again when its first cell is built, and freed after its
 last cell, so a sweep's memory does not grow with its number of images.
 
-A serial sweep (``workers=1``) noises the next cell on one helper thread,
-one task per cell, while the calling thread denoises and scores the current
-cell.  The calling thread then fills what is left of its own cell's noisy
-image (``noise._NoisyImage``), and the next cell's until the helper is done
-with this one.  A noise error fails only the cell whose image it was
-filling.  The helper is joined when ``run_benchmark`` returns.  With
-``workers > 1`` each pool thread noises its own cells; at most
-``2 * workers`` cells are submitted at a time, and one more as any of them
-completes.
+A serial sweep (``workers=1``) noises the next cell of the same input on one
+helper thread, one task per cell, while the calling thread denoises and
+scores the current cell.  The calling thread then fills what is left of its
+own cell's noisy image (``noise._NoisyImage``), and the next cell's until
+the helper is done with this one.  The lookahead stops at the input's last
+cell, so the next input is read only once nothing holds this one, and each
+input's first cell is noised with no overlap.  A noise error fails only the
+cell whose image it was filling.  The helper is joined when
+``run_benchmark`` returns.  With ``workers > 1`` each pool thread noises its
+own cells; at most ``2 * workers`` cells are submitted at a time, and one
+more as any of them completes.
+
+A cell hands its noisy image to ``denoise``, which returns the result in
+that memory, and then scores in the result itself, so per cell a serial
+sweep holds one clean image, two noisy images (the cell's, which becomes its
+result, and the next cell's) and one method's working set.
 """
 
 import concurrent.futures
@@ -127,8 +134,11 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
     """Run one cell; `noise`, if given, is (its noisy image, the helper's future, the next image).
 
     The cell takes its noisy image over (``take``) and hands it to
-    ``denoise`` (``overwrite_image``), so the bilateral passes write over it,
-    and once it is denoised nothing else holds it.
+    ``denoise`` (``overwrite_image``), which returns its result in that
+    memory (in a padded copy off the Haar grid); once it is denoised nothing
+    else holds the noisy image.  Any PGM of the result is saved first, and
+    then ``evaluate`` clamps and scores in the result itself
+    (``overwrite_test``).
     """
     seed = derive_seed(config.master_seed, image_id, sigma, mcfg.method, trial)
     nan = math.nan
@@ -147,10 +157,10 @@ def _run_cell(image_id: str, clean: np.ndarray, sigma: float, mcfg: MethodConfig
         denoised = denoise(noisy, mcfg, overwrite_image=True)
         runtime_ms = (time.perf_counter() - t0) * 1000.0 if config.record_runtime else 0.0
         del noisy
-        report = evaluate(clean, denoised)
         if config.save_images_dir:
             name = f"{image_id}_s{sigma:g}_{mcfg.method}_t{trial}.pgm"
             save_pgm(denoised, Path(config.save_images_dir) / name)
+        report = evaluate(clean, denoised, overwrite_test=True)
         return BenchRow(image_id, sigma, mcfg.method, mcfg.levels, trial, seed,
                         report.mse, report.rmse, report.mae, report.psnr_db, report.uqi,
                         runtime_ms)
@@ -170,9 +180,8 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
     a supplied array that is no image (``imagecore.as_image``) stops the
     sweep there.  An input is decoded again when its first cell is built,
     which stops the sweep if it can no longer be read, and freed after its
-    last cell: a serial sweep holds at most two inputs (the current cell's
-    and, across an image boundary, the next cell's), a pooled one those of
-    its ``2 * workers`` cells in flight and of the next cell.
+    last cell: a serial sweep holds one input at a time, a pooled one those
+    of its ``2 * workers`` cells in flight and of the next cell.
     """
 
     def decode(path):
@@ -184,20 +193,19 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
         # an unusable directory stops the sweep here, not in every cell
         Path(config.save_images_dir).mkdir(parents=True, exist_ok=True)
 
-    def cells():
-        for path in config.image_paths:
-            clean = decode(path)
-            for sigma in config.sigmas:
-                for mcfg in config.methods:
-                    for trial in range(1, config.trials + 1):
-                        yield Path(path).stem, clean, sigma, mcfg, trial
+    def cells(path):
+        clean = decode(path)
+        for sigma in config.sigmas:
+            for mcfg in config.methods:
+                for trial in range(1, config.trials + 1):
+                    yield Path(path).stem, clean, sigma, mcfg, trial
 
     rows = []
     if config.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as pool:
             # a window of cells, not pool.map, which submits (so decodes) every cell at once
             running = set()
-            for cell in cells():
+            for cell in itertools.chain.from_iterable(map(cells, config.image_paths)):
                 running.add(pool.submit(_run_cell, *cell, config))
                 if len(running) == 2 * config.workers:
                     done, running = concurrent.futures.wait(
@@ -212,13 +220,16 @@ def run_benchmark(config: BenchConfig, images: dict[str, np.ndarray] | None = No
                     config.master_seed, image_id, sigma, mcfg.method, trial)))
                 return image, helper.submit(image.fill)
 
-            stream = cells()
-            cell = next(stream)
-            image, filling = prefetch(*cell)
-            for next_cell in itertools.chain(stream, [None]):
-                next_image, next_filling = prefetch(*next_cell) if next_cell else (None, None)
-                rows.append(_run_cell(*cell, config, (image, filling, next_image)))
-                cell, image, filling = next_cell, next_image, next_filling
+            # the lookahead stays within one input, so the next input is
+            # decoded only once nothing holds this one
+            for path in config.image_paths:
+                stream = cells(path)
+                cell = next(stream)
+                image, filling = prefetch(*cell)
+                for next_cell in itertools.chain(stream, [None]):
+                    next_image, next_filling = prefetch(*next_cell) if next_cell else (None, None)
+                    rows.append(_run_cell(*cell, config, (image, filling, next_image)))
+                    cell, image, filling = next_cell, next_image, next_filling
     rows.sort(key=lambda r: (r.image_id, r.sigma, r.method, r.levels, r.trial))
     return rows
 

@@ -105,15 +105,25 @@ def _uqi(ref: np.ndarray, g: np.ndarray) -> float:
     return 4.0 * cov * mf * mg / ((var_f + var_g) * (mf**2 + mg**2))
 
 
-def evaluate(reference, test, clamp: bool = True) -> MetricsReport:
+def evaluate(reference, test, clamp: bool = True, *, overwrite_test: bool = False) -> MetricsReport:
     """All metrics of `test` against `reference`.
 
     With `clamp` (the default) the test image is clamped to [0, 255] before
     scoring, matching what a viewer of the saved image would see.
+
+    The test image is clamped, and the index then uses it as scratch, in
+    this call's own copy; beyond it a call holds one work array, so 2.0
+    copies of the image in all.  A caller done with `test` can hand it over
+    (`overwrite_test=True`), as a sweep cell does with its denoised image
+    once any PGM of it is saved: the call then works in `test` itself, which
+    must be writeable if it is float64 already and is left holding scratch
+    values, and holds 1.0 copies.  The scores are the same to the bit.
     """
     ref, tst = _check_pair(reference, test)
-    # this call's own copy of the test image, which the index then uses as scratch
-    own = np.clip(tst, 0.0, PEAK) if clamp else np.array(tst)
+    if overwrite_test:
+        own = np.clip(tst, 0.0, PEAK, out=tst) if clamp else tst
+    else:
+        own = np.clip(tst, 0.0, PEAK) if clamp else np.array(tst)
     mse, rmse, mae = mse_rmse_mae(ref, own)
     return MetricsReport(
         mse=mse,

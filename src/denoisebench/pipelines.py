@@ -89,13 +89,15 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, *,
 
     `image` is never written unless the caller hands it over with
     `overwrite_image=True`, as `bench denoise` does with the image it loaded
-    and a sweep cell with its noisy image.  `bilateral` and `mrbf` then work
-    in its memory, which must be writeable if it is float64 already, and
-    return it (off the Haar grid, mrbf works in its padded copy).  Without
-    the handover those two methods work on one copy of `image`, or on the
-    new array that converting it to float64 made.  The other methods never
-    write over their input, and `collaborative` filters its own Bayes output
-    in place.
+    and a sweep cell with its noisy image.  Every method then works in its
+    memory, which must be writeable if it is float64 already, and returns it
+    (off the Haar grid, its padded copy): `bilateral` and `mrbf` work in it
+    throughout, `visu`, `sure`, `bayes` and `neigh` write their finest
+    synthesis into it (the analysis stays out of place), and `collaborative`
+    hands it to its Bayes stage.  Without the handover `bilateral` and `mrbf`
+    work on one copy of `image`, or on the new array that converting it to
+    float64 made, the wavelet rules synthesise into a new array, and
+    `collaborative` filters its own Bayes output in place.
     """
     if config.method == "bilateral":
         img = _grid(image, overwrite_image)
@@ -107,7 +109,7 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, *,
         padded = np.pad(img, ((0, -h % step), (0, -w % step)), mode="reflect")
         return denoise(padded, config, oracle_sigma, overwrite_image=True)[:h, :w]
     if config.method == "collaborative":
-        return collaborative(img, config, oracle_sigma)
+        return collaborative(image, config, oracle_sigma, overwrite_image=overwrite_image)
     if config.method == "mrbf":
         return mrbf(image, config, oracle_sigma, overwrite_image=overwrite_image)
     pyramid = decompose(img, config.levels)
@@ -119,7 +121,8 @@ def denoise(image, config: MethodConfig, oracle_sigma: float | None = None, *,
     for details in levels:
         for i in range(3):
             details[i] = shrink(details[i], sigma)
-    return reconstruct(Pyramid(tuple(map(tuple, levels)), top_ll, img.shape))
+    return reconstruct(Pyramid(tuple(map(tuple, levels)), top_ll, img.shape),
+                       out=img if overwrite_image else None)
 
 
 def _grid(image, overwrite_image: bool) -> np.ndarray:
@@ -143,13 +146,16 @@ def bilateral_pass(grid, sigma: float) -> np.ndarray:
     return bilateral_filter(grid, params, out=grid)
 
 
-def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None) -> np.ndarray:
+def collaborative(image, config: MethodConfig, oracle_sigma: float | None = None, *,
+                  overwrite_image: bool = False) -> np.ndarray:
     """BayesShrink wavelet denoising followed by a bilateral pass.
 
     The bilateral range fall-off targets the residual noise, re-estimated on
-    the Bayes output, which the pass then writes over.
+    the Bayes output, which the pass then writes over.  `overwrite_image`
+    hands `image` over to the Bayes stage, as in :func:`denoise`.
     """
-    stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma)
+    stage1 = denoise(image, replace(config, method="bayes"), oracle_sigma,
+                     overwrite_image=overwrite_image)
     return bilateral_pass(stage1, _sigma(None, grid=stage1))
 
 

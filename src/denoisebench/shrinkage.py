@@ -48,21 +48,36 @@ def visu_threshold(sigma: float, n: int) -> float:
     return sigma * math.sqrt(2.0 * math.log(n))
 
 
-def _sure_risk_curve(absw_sorted: np.ndarray) -> np.ndarray:
-    """SURE(t) for soft thresholding at each candidate t in {0} + sorted |w|.
+# candidates the SURE scan scores at a time: its work arrays stay at a few
+# 128 KiB, whatever the band's size
+_SURE_BLOCK = 1 << 14
 
-    For unit-variance coefficients w: SURE(t) = n - 2 #{|w| <= t}
-    + sum_i min(|w_i|, t)^2.  Evaluated with cumulative sums over the sorted
-    magnitudes; candidate j (1-based into the sorted array) has
-    sum min(|w|, t_j)^2 = cumsum(w^2)[j] + (n - j) t_j^2.
-    """
-    n = absw_sorted.size
-    sq = absw_sorted**2
-    cum = np.concatenate(([0.0], np.cumsum(sq)))
-    t = np.concatenate(([0.0], absw_sorted))
-    below = np.concatenate(([0], np.searchsorted(absw_sorted, t[1:], side="right")))
-    penalty = cum[below] + (n - below) * t**2
-    return n - 2.0 * below + penalty
+
+def _sure_block(w, cum, s: int, e: int) -> tuple[int, float]:
+    """The first least (or first NaN) SURE risk of candidates ``s + 1`` to
+    `e`, those at the sorted magnitudes ``w[s:e]``, and its offset in them."""
+    n = w.size
+    t = w[s:e]
+    # a run of equal magnitudes ends where the next one differs; only a run
+    # that goes on past the block is searched for.  (A NaN magnitude, sorted
+    # last, scores NaN whatever its count.)
+    end = np.ones(e - s, dtype=bool)
+    np.not_equal(t[:-1], w[s + 1 : e], out=end[:-1])
+    below = np.arange(s + 1, e + 1)
+    if e < n and w[e - 1] == w[e]:
+        below[-1] = np.searchsorted(w, w[e - 1], side="right")
+    # each candidate takes the count at the first run end at or after it
+    below[~end] = n
+    np.minimum.accumulate(below[::-1], out=below[::-1])
+    # (n - 2 below) + (cum[below] + (n - below) t^2), operand for operand
+    penalty = np.square(t)
+    penalty *= n - below
+    penalty += cum[below]
+    risk = 2.0 * below
+    np.subtract(n, risk, out=risk)
+    risk += penalty
+    k = int(np.argmin(risk))
+    return k, float(risk[k])
 
 
 def sure_threshold(band, sigma: float) -> float:
@@ -72,6 +87,17 @@ def sure_threshold(band, sigma: float) -> float:
     {0} + {|w_i|} of sigma-normalized coefficients, capped at the universal
     threshold.  On sparse bands (second-moment statistic below the
     (log2 n)^1.5 / sqrt(n) cutoff) the universal threshold is used directly.
+
+    For unit-variance coefficients, SURE(t) = n - 2 #{|w| <= t}
+    + sum_i min(|w_i|, t)^2.  The magnitudes are sorted in place and their
+    squares summed cumulatively, left to right, in one more array; candidate
+    j >= 1 is t_j, the j-th smallest magnitude, and with b_j = #{|w| <= t_j}
+    (one past the end of t_j's run of equal magnitudes) its risk is
+    (n - 2 b_j) + (cum_{b_j} + (n - b_j) t_j^2).  Candidate 0 counts no
+    coefficient below it and scores n.  Candidates are scored ``_SURE_BLOCK``
+    at a time; the first minimum wins, and a NaN risk, if any, wins first.
+    So beyond its band a call holds two band-sized arrays and one block's
+    work arrays.
     """
     x = np.asarray(band, dtype=np.float64).ravel()
     if x.size == 0:
@@ -84,10 +110,21 @@ def sure_threshold(band, sigma: float) -> float:
     sparsity = (np.sum(w**2) - n) / n
     if sparsity <= math.log2(n) ** 1.5 / math.sqrt(n):
         return sigma * universal
-    absw = np.sort(np.abs(w))
-    risk = _sure_risk_curve(absw)
-    candidates = np.concatenate(([0.0], absw))
-    t_min = candidates[int(np.argmin(risk))]
+    np.abs(w, out=w)
+    w.sort()
+    # cum[k]: the sum of the k smallest squares, added left to right
+    cum = np.empty(n + 1)
+    cum[0] = 0.0
+    np.cumsum(np.square(w, out=cum[1:]), out=cum[1:])
+    best, best_risk = 0, float(n)
+    for s in range(0, n, _SURE_BLOCK):
+        k, risk = _sure_block(w, cum, s, min(s + _SURE_BLOCK, n))
+        if math.isnan(risk):
+            best = s + 1 + k
+            break
+        if risk < best_risk:
+            best, best_risk = s + 1 + k, risk
+    t_min = w[best - 1] if best else 0.0
     return sigma * min(t_min, universal)
 
 
@@ -146,12 +183,15 @@ def neigh_shrink(band, t_universal: float, window: int = 3) -> np.ndarray:
         for dx in range(window):
             if dy or dx:
                 s2[:n] += flat[dy * pw + dx : dy * pw + dx + n]
+    del flat
     s2 = s2.reshape(h, pw)[:, :w]
-    with np.errstate(divide="ignore"):
-        out = np.divide(t_universal**2, s2)
-    np.subtract(1.0, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    out *= y
     # an empty (or NaN) neighborhood energy keeps its coefficient, as a factor of 0 would
-    np.copyto(out, y, where=~(s2 > 0))
+    keep = ~(s2 > 0)
+    # the factor, formed in the energy's buffer
+    with np.errstate(divide="ignore"):
+        factor = np.divide(t_universal**2, s2, out=s2)
+    np.subtract(1.0, factor, out=factor)
+    np.maximum(factor, 0.0, out=factor)
+    out = np.multiply(factor, y)
+    np.copyto(out, y, where=keep)
     return out

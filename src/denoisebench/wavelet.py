@@ -64,34 +64,35 @@ def _butterfly(p, q, r, s, out0, out1, out2, out3) -> None:
 
     Writes (p+q+r+s)/2, (p-q+r-s)/2, (p+q-r-s)/2 and (p-q-r+s)/2 into
     `out0` to `out3`, each sum taken left to right from a shared ``p+q``
-    (in `out2`) or ``p-q`` (in `out3`).  No output may share memory with an
+    (in `out2`) or ``p-q`` (in `out3`), then halved by multiplying by 0.5,
+    which rounds as dividing by 2 does.  No output may share memory with an
     input.
     """
     np.add(p, q, out=out2)
     np.subtract(p, q, out=out3)
     np.add(out2, r, out=out0)
     out0 += s
-    out0 /= 2.0
+    out0 *= 0.5
     np.add(out3, r, out=out1)
     out1 -= s
-    out1 /= 2.0
+    out1 *= 0.5
     out2 -= r
     out2 -= s
-    out2 /= 2.0
+    out2 *= 0.5
     out3 -= r
     out3 += s
-    out3 /= 2.0
+    out3 *= 0.5
 
 
 def _finest_hh(grid) -> np.ndarray:
     """The HH band alone of `grid` trimmed to even sides, formed in the
-    butterfly's order: ((a-b) - c + d) / 2."""
+    butterfly's order: ((a-b) - c + d) * 0.5."""
     h, w = grid.shape
     g = grid[: h - h % 2, : w - w % 2]
     hh = np.subtract(g[0::2, 0::2], g[0::2, 1::2])
     hh -= g[1::2, 0::2]
     hh += g[1::2, 1::2]
-    hh /= 2.0
+    hh *= 0.5
     return hh
 
 
@@ -204,9 +205,14 @@ def decompose(image, levels: int) -> Pyramid:
     return Pyramid(levels=tuple(stack), top_ll=current, original_shape=x.shape)
 
 
-def reconstruct(pyramid: Pyramid) -> np.ndarray:
-    """Exact inverse of :func:`decompose`."""
+def reconstruct(pyramid: Pyramid, *, out=None) -> np.ndarray:
+    """Exact inverse of :func:`decompose`.
+
+    The finest synthesis writes into `out`, a float64 array of the original
+    shape that shares no memory with the pyramid, and returns it; by
+    default it makes a new array.
+    """
     current = pyramid.top_ll
-    for lh, hl, hh in reversed(pyramid.levels):
-        current = idwt2_haar(SubBands(current, lh, hl, hh))
+    for k, (lh, hl, hh) in reversed(list(enumerate(pyramid.levels))):
+        current = idwt2_haar(SubBands(current, lh, hl, hh), out=None if k else out)
     return current

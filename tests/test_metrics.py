@@ -266,3 +266,15 @@ def test_evaluate_bit_identical_to_three_work_arrays():
         # neither the scores nor their parts write into the caller's arrays
         assert np.array_equal(ref, kept[0], equal_nan=True)
         assert np.array_equal(test, kept[1], equal_nan=True)
+
+
+def test_evaluate_in_a_test_image_handed_over_gives_the_same_bits():
+    # the scores of the default call; `test` is then the call's scratch, `reference` unwritten
+    for ref, test in _evaluate_cases():
+        for clamp in (True, False):
+            want = evaluate(ref, test, clamp=clamp)
+            owned, kept = test.copy(), ref.copy()
+            got = evaluate(ref, owned, clamp=clamp, overwrite_test=True)
+            assert _bits((got.mse, got.rmse, got.mae, got.psnr_db, got.uqi)) == _bits(
+                (want.mse, want.rmse, want.mae, want.psnr_db, want.uqi)), (ref.shape, clamp)
+            assert np.array_equal(ref, kept, equal_nan=True)

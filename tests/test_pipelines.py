@@ -367,6 +367,31 @@ def test_working_set_beyond_an_image_handed_over(texture512, method, bound):
     assert _copies_held(denoise, noisy, MethodConfig(method=method), overwrite_image=True) <= bound
 
 
+@pytest.mark.parametrize("method", ["visu", "sure", "bayes", "neigh", "collaborative"])
+def test_wavelet_rules_write_their_synthesis_into_an_image_handed_over(texture512, method):
+    # beyond the image: the pyramid (one image), one band's shrink, and the
+    # finest synthesis's row-block planes, with no output array; collaborative
+    # hands its image to its Bayes stage, then one lane's strip buffers
+    noisy = add_awgn(texture512, NoiseModel(sigma=30.0, seed=1))
+    want = denoise(noisy, MethodConfig(method=method))
+    owned, got = noisy.copy(), []
+    held = _copies_held(lambda image: got.append(
+        denoise(image, MethodConfig(method=method), overwrite_image=True)), owned)
+    assert held <= 1.75
+    assert got[0] is owned and got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("overwrite_image, bound", [(False, 2.7), (True, 2.0)])
+def test_sure_working_set_on_dense_bands(texture512, overwrite_image, bound):
+    # at sigma 10 texture512's detail bands are dense, so SURE scores every
+    # candidate: its sorted magnitudes, their cumulative squares and one
+    # block's work arrays, 0.73 copies at the finest level
+    noisy = add_awgn(texture512, NoiseModel(sigma=10.0, seed=1))
+    held = _copies_held(denoise, noisy.copy(), MethodConfig(method="sure"),
+                        overwrite_image=overwrite_image)
+    assert held <= bound
+
+
 @pytest.mark.parametrize("method, bound", [("mrbf", 0.9), ("bilateral", 0.9), ("collaborative", 2.4)])
 def test_main_thread_working_set_at_1024_beyond_an_image_handed_over(monkeypatch, method, bound):
     # as `bench denoise` runs, over the loaded image: for mrbf and bilateral
@@ -390,3 +415,12 @@ def test_scoring_working_set_in_image_copies(texture512):
     # clipped copy of the test image and one work array
     denoised = denoise(add_awgn(texture512, NoiseModel(sigma=30.0, seed=1)), MethodConfig())
     assert _copies_held(evaluate, texture512, denoised) <= 2.1
+
+
+def test_scoring_in_an_image_handed_over_working_set(texture512):
+    # as a sweep cell scores: clamped in the denoised image, then one work array
+    denoised = denoise(add_awgn(texture512, NoiseModel(sigma=30.0, seed=1)), MethodConfig())
+    want, reports = evaluate(texture512, denoised), []
+    held = _copies_held(lambda test: reports.append(evaluate(texture512, test, overwrite_test=True)),
+                        denoised)
+    assert held <= 1.1 and reports == [want]

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from denoisebench import shrinkage
 from denoisebench.noise import gaussian_field
 from denoisebench.shrinkage import (
     apply_threshold,
@@ -87,6 +88,93 @@ def test_sure_matches_brute_force_on_random_bands():
         if sparsity <= math.log2(n) ** 1.5 / math.sqrt(n):
             want = sigma * math.sqrt(2.0 * math.log(n))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+def _sure_risks(absw_sorted):
+    """SURE(t) at every candidate t in {0} + sorted |w|, all at once with
+    cumulative sums, in the operation order ``sure_threshold`` keeps."""
+    n = absw_sorted.size
+    cum = np.concatenate(([0.0], np.cumsum(absw_sorted**2)))
+    t = np.concatenate(([0.0], absw_sorted))
+    below = np.concatenate(([0], np.searchsorted(absw_sorted, t[1:], side="right")))
+    with np.errstate(invalid="ignore"):  # 0 * inf where an infinite coefficient is the candidate
+        return n - 2.0 * below + (cum[below] + (n - below) * t**2)
+
+
+def _sure_oracle(band, sigma):
+    """SureShrink from the whole risk curve: the reference for ``sure_threshold``'s bits."""
+    x = np.asarray(band, dtype=np.float64).ravel()
+    n = x.size
+    w = x / sigma
+    universal = math.sqrt(2.0 * math.log(n))
+    sparsity = (np.sum(w**2) - n) / n
+    if sparsity <= math.log2(n) ** 1.5 / math.sqrt(n):
+        return sigma * universal
+    absw = np.sort(np.abs(w))
+    t = np.concatenate(([0.0], absw))
+    return sigma * min(t[int(np.argmin(_sure_risks(absw)))], universal)
+
+
+def _same_float(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _sure_test_bands(rng, sizes):
+    """Dense bands of each size: Gaussian, rounded (long runs of ties, some
+    across block ends), with zeros, with +-inf, and with NaN."""
+    for n in sizes:
+        band = rng.normal(0.0, float(rng.uniform(1.5, 8.0)), n)
+        yield band
+        yield np.round(band / 2.0)
+        zeros = band.copy()
+        zeros[rng.random(n) < 0.3] = 0.0
+        yield zeros
+        infinite = band.copy()
+        infinite[rng.random(n) < 0.01] = np.inf
+        infinite[rng.random(n) < 0.01] = -np.inf
+        yield infinite
+        nan = band.copy()
+        nan[rng.random(n) < 0.002] = np.nan
+        yield nan
+
+
+def test_sure_equals_cumulative_sum_oracle_bit_for_bit():
+    rng = np.random.default_rng(33)
+    block = shrinkage._SURE_BLOCK
+    sizes = [1, 2, 3, 5, 64, 257, block - 1, block, block + 1, 2 * block + 3, 3 * block, 65536]
+    sizes += [int(n) for n in rng.integers(1, 65537, 8)]
+    with np.errstate(invalid="ignore"):
+        for band in _sure_test_bands(rng, sizes):
+            sigma = float(rng.uniform(0.5, 2.0))
+            got, want = sure_threshold(band, sigma), _sure_oracle(band, sigma)
+            assert _same_float(got, want), (band.size, got, want)
+        # every block a handful of candidates, so most runs of ties cross a
+        # block end; each block's least risk is the curve's, to the bit
+        for small in (1, 2, 3, 7):
+            shrinkage._SURE_BLOCK = small
+            try:
+                for band in _sure_test_bands(rng, [int(n) for n in rng.integers(1, 80, 20)]):
+                    got, want = sure_threshold(band, 1.0), _sure_oracle(band, 1.0)
+                    assert _same_float(got, want), (small, band.size, got, want)
+                    w = np.sort(np.abs(band))
+                    risks = _sure_risks(w)
+                    cum = np.concatenate(([0.0], np.cumsum(w**2)))
+                    for s in range(0, w.size, small):
+                        k, risk = shrinkage._sure_block(w, cum, s, min(s + small, w.size))
+                        want = risks[s + 1 : s + 1 + small]
+                        assert k == np.argmin(want) and _same_float(risk, want[k])
+            finally:
+                shrinkage._SURE_BLOCK = block
+
+
+def test_sure_on_one_value_repeated_across_blocks():
+    # one run of ties over three blocks, before and after a run of larger values
+    n = 3 * shrinkage._SURE_BLOCK + 5
+    for value in (0.0, 3.0, np.inf):
+        band = np.full(n, value)
+        band[::3] = 5.0
+        with np.errstate(invalid="ignore"):
+            assert _same_float(sure_threshold(band, 1.0), _sure_oracle(band, 1.0))
 
 
 def test_sure_pure_noise_falls_back_to_universal():
